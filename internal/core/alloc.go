@@ -184,7 +184,7 @@ func (rt *Runtime) flushAllocBatches(sess uint64) error {
 		}
 		rt.stats.allocBatches.Add(1)
 		rt.trace(Event{Kind: EvAllocFlush, Target: origin, Count: len(p.Allocs) + len(p.Frees)})
-		reply, err := rt.sendAndWait(wire.Message{
+		reply, err := rt.roundTrip(wire.Message{
 			Kind:    wire.KindAllocBatch,
 			Session: sess,
 			To:      origin,
@@ -192,9 +192,6 @@ func (rt *Runtime) flushAllocBatches(sess uint64) error {
 		})
 		if err != nil {
 			return fmt.Errorf("flush alloc batch to space %d: %w", origin, err)
-		}
-		if reply.Err != "" {
-			return fmt.Errorf("space %d rejected alloc batch: %s", origin, reply.Err)
 		}
 		rp, err := wire.DecodeAllocReplyPayload(reply.Payload)
 		if err != nil {
@@ -284,7 +281,7 @@ func (rt *Runtime) resolveLP(lp wire.LongPtr) (wire.LongPtr, error) {
 func (rt *Runtime) serveAllocBatch(m wire.Message) {
 	p, err := wire.DecodeAllocBatchPayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindAllocReply, nil, fmt.Sprintf("decode: %v", err))
+		rt.reply(m, wire.KindAllocReply, nil, fmt.Errorf("decode: %w", err))
 		return
 	}
 	// Allocation and free mutate the heap region concurrently served
@@ -295,32 +292,32 @@ func (rt *Runtime) serveAllocBatch(m wire.Message) {
 	for _, req := range p.Allocs {
 		rv, err := rt.res.Resolve(req.Type)
 		if err != nil {
-			rt.reply(m, wire.KindAllocReply, nil, err.Error())
+			rt.reply(m, wire.KindAllocReply, nil, err)
 			return
 		}
 		layout := rv.Layout
 		addr, err := rt.space.Alloc(layout.Size, layout.Align)
 		if err != nil {
-			rt.reply(m, wire.KindAllocReply, nil, err.Error())
+			rt.reply(m, wire.KindAllocReply, nil, err)
 			return
 		}
 		if err := rt.space.Zero(addr, layout.Size); err != nil {
-			rt.reply(m, wire.KindAllocReply, nil, err.Error())
+			rt.reply(m, wire.KindAllocReply, nil, err)
 			return
 		}
 		out.Addrs = append(out.Addrs, addr)
 	}
 	for _, lp := range p.Frees {
 		if lp.Space != rt.id {
-			rt.reply(m, wire.KindAllocReply, nil, fmt.Sprintf("free of foreign datum %v", lp))
+			rt.reply(m, wire.KindAllocReply, nil, fmt.Errorf("free of foreign datum %v", lp))
 			return
 		}
 		if err := rt.space.Free(lp.Addr); err != nil {
-			rt.reply(m, wire.KindAllocReply, nil, err.Error())
+			rt.reply(m, wire.KindAllocReply, nil, err)
 			return
 		}
 		rt.dropModified(lp)
 		rt.encInvalidate(lp.Addr)
 	}
-	rt.reply(m, wire.KindAllocReply, out.Encode(), "")
+	rt.reply(m, wire.KindAllocReply, out.Encode(), nil)
 }

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"math"
 	"runtime"
@@ -198,6 +197,12 @@ func (rt *Runtime) completePage(sess uint64, pn uint32, spec bool) error {
 			continue
 		}
 		if len(wants) == 0 {
+			// A background drain's install batch may have marked the last
+			// entries resident without having released the page yet; it
+			// releases every page it completed before dropping installMu,
+			// so waiting the batch out makes the page readable.
+			rt.installMu.Lock()
+			rt.installMu.Unlock()
 			return nil
 		}
 		if sameOrigin {
@@ -360,11 +365,11 @@ func (rt *Runtime) InflightFetches() int {
 // prefetcher-issued fetches: the wire flag and the pf counters are the
 // only differences — the origin serves both identically.
 //
-// The origin picks the reply form: small closures arrive as one
-// monolithic FetchReply and install exactly as the seed protocol did;
-// large closures arrive as a KindFetchChunk stream, installed chunk by
-// chunk as they are decoded. On a demand fetch, once every primary want
-// is resident the faulting access is unblocked (f.signalPrimary) and the
+// The origin picks the reply form — small closures arrive as one classic
+// FetchReply, large ones as a KindFetchChunk stream — and fetchAttempt
+// installs either chunk by chunk (the exchange decodes a classic reply
+// as a one-chunk stream). On a demand fetch, once every primary want is
+// resident the faulting access is unblocked (f.signalPrimary) and the
 // remaining chunks drain through the returned bg closure, which
 // completeFrom runs on a background goroutine; a drain error just leaves
 // entries non-resident for a later demand fetch to retry.
@@ -374,13 +379,12 @@ func (rt *Runtime) InflightFetches() int {
 // in here would let an inline speculative completion rejoin — and deadlock
 // on — the slot this exchange still holds.
 //
-// The whole exchange retries under the runtime's retry policy
-// (retryLoop): a stalled stream, a corrupted frame, or a torn chunk
-// sequence abandons the attempt and re-issues the FETCH under a fresh
-// attempt seq. Re-installing items an earlier attempt already delivered
-// is idempotent, and the abandoned attempt's late chunks are dropped by
-// seq. Failures inside a background drain never retry — a drain error
-// just leaves entries non-resident for a later demand fetch.
+// The whole exchange retries under the runtime's retry policy (rt.do): a
+// stalled stream, a corrupted frame, or a torn chunk sequence abandons
+// the attempt and re-issues the FETCH under a fresh attempt seq.
+// Re-installing items an earlier attempt already delivered is
+// idempotent, and the abandoned attempt's late chunks are dropped by seq.
+// Failures inside a background drain never retry.
 func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPtr, spec bool, f *inflightFetch) (poke bool, bg func(), err error) {
 	primary := len(wants)
 	budget := rt.budgetFor(origin)
@@ -404,21 +408,23 @@ func (rt *Runtime) fetchFrom(sess uint64, pn, origin uint32, wants []wire.LongPt
 		Primary:     uint32(primary),
 		Speculative: spec,
 	}
-	payload := p.Encode()
-	ferr := rt.retryLoop(origin, wire.KindFetch, func(seq uint64) (bool, error) {
-		var transient bool
-		poke, bg, transient, err = rt.fetchAttempt(sess, pn, origin, payload, wants, primary, spec, f, seq)
-		return transient, err
+	req := wire.Message{Kind: wire.KindFetch, Session: sess, To: origin, Payload: p.Encode()}
+	err = rt.do(req, func(x *exchange) error {
+		var err error
+		bg, err = rt.fetchAttempt(x, sess, pn, origin, wants, primary, spec, f)
+		return err
 	})
-	return poke, bg, ferr
+	// Speculative completions chain through pfRun instead, after their
+	// in-flight slot is released.
+	return err == nil && !spec, bg, err
 }
 
-// fetchAttempt performs one attempt of a FETCH exchange under the given
-// sequence number. transient classifies a failure for the retry loop:
-// true for faults a retry can outrun (lost or late frames, corruption,
-// a torn chunk sequence), false for terminal outcomes (remote
-// application errors, decode or install failures, a tripped fence).
-func (rt *Runtime) fetchAttempt(sess uint64, pn, origin uint32, payload []byte, wants []wire.LongPtr, primary int, spec bool, f *inflightFetch, seq uint64) (poke bool, bg func(), transient bool, err error) {
+// fetchAttempt performs one attempt of a FETCH exchange, installing each
+// reply chunk as it arrives. A demand fetch whose primary wants are all
+// resident while chunks are still outstanding hands the exchange to the
+// returned bg drain; speculative completions have no one waiting and
+// drain inline.
+func (rt *Runtime) fetchAttempt(x *exchange, sess uint64, pn, origin uint32, wants []wire.LongPtr, primary int, spec bool, f *inflightFetch) (bg func(), err error) {
 	rt.stats.fetchesSent.Add(1)
 	if spec {
 		rt.stats.pfIssued.Add(1)
@@ -426,174 +432,80 @@ func (rt *Runtime) fetchAttempt(sess uint64, pn, origin uint32, payload []byte, 
 	} else {
 		rt.trace(Event{Kind: EvFetchSent, Target: origin, Count: len(wants)})
 	}
-	x, err := rt.sendAndStreamSeq(wire.Message{
-		Kind:    wire.KindFetch,
-		Session: sess,
-		To:      origin,
-		Payload: payload,
-	}, seq)
-	if err != nil {
-		return false, nil, !errors.Is(err, ErrClosed), fmt.Errorf("fetch from space %d: %w", origin, err)
-	}
-	reply, err := x.next()
-	if err != nil {
-		return false, nil, !errors.Is(err, ErrClosed), fmt.Errorf("fetch from space %d: %w", origin, err)
-	}
-	// A corrupted frame's incarnation word is garbage, so the checksum
-	// rejection must precede the fence check. Any other reply's Inc is
-	// trustworthy, so the fence runs *before* an application error is
-	// interpreted: a restarted origin answers a stale session's requests
-	// with errors, and the restart is the diagnosis, not the symptom.
-	if reply.Err == checksumRejectErr {
-		reply.ReleaseFrame()
-		x.abandon()
-		return false, nil, true, fmt.Errorf("fetch from space %d: %s", origin, reply.Err)
-	}
-	if ferr := rt.fenceCheck(origin, reply.Inc); ferr != nil {
-		reply.ReleaseFrame()
-		x.abandon()
-		return false, nil, false, ferr
-	}
-	if reply.Err != "" {
-		reply.ReleaseFrame()
-		x.abandon()
-		return false, nil, false, fmt.Errorf("fetch from space %d: %s", origin, reply.Err)
-	}
-	if reply.Kind == wire.KindFetchReply {
-		// The classic single-frame reply (closure at or under the
-		// origin's streaming threshold).
-		rp, err := wire.DecodeItemsPayload(reply.Payload)
+	// missing tracks the primary wants still outstanding once a stream
+	// proves longer than one chunk: the faulting access unblocks on the
+	// first chunk that covers them — by the protocol's contract that is
+	// chunk 0, but the client verifies residency rather than trusting the
+	// origin's framing.
+	var missing map[wire.LongPtr]bool
+	for {
+		m, c, err := x.next()
 		if err != nil {
-			return false, nil, false, fmt.Errorf("fetch from space %d: decode: %w", origin, err)
+			return nil, fmt.Errorf("fetch from space %d: %w", origin, err)
 		}
-		// Fetch replies bypass the delta-shipping state (coh=false): a datum
-		// is fetched at most once per session, so there is no baseline to
-		// diff against and tracking it would desynchronize the edge.
-		if err := rt.installItems(origin, sess, rp.Items, false); err != nil {
-			return false, nil, false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
+		if err := rt.installFetched(sess, origin, spec, m, &c); err != nil {
+			return nil, err
 		}
-		if spec {
-			var n uint64
-			for _, it := range rp.Items {
-				n += uint64(len(it.Bytes))
+		if c.Final {
+			return nil, nil
+		}
+		if missing == nil {
+			missing = make(map[wire.LongPtr]bool, primary)
+			for _, lp := range wants[:primary] {
+				missing[lp] = true
 			}
-			rt.stats.pfBytes.Add(n)
-			// Speculative completions chain through pfRun instead, after
-			// their in-flight slot is released.
-			return false, nil, false, nil
 		}
-		return true, nil, false, nil
-	}
-	// A streamed reply. Track which primary wants are still outstanding
-	// so the faulting access unblocks on the first chunk that covers
-	// them — by the protocol's contract that is chunk 0, but the client
-	// verifies residency rather than trusting the origin's framing.
-	missing := make(map[wire.LongPtr]bool, primary)
-	for _, lp := range wants[:primary] {
-		missing[lp] = true
-	}
-	asm := &chunkAssembler{xid: x.seq}
-	// chunkTransient classifies installChunk failures for the retry
-	// loop: lost, late, duplicated, or corrupted chunk frames are worth
-	// a fresh attempt; decode and install failures are terminal.
-	chunkTransient := false
-	installChunk := func(m wire.Message) (final bool, err error) {
-		defer m.ReleaseFrame()
-		// Checksum rejection first (a corrupted frame's incarnation word
-		// is garbage), then the fence, then application errors — see the
-		// first-reply classification above.
-		if m.Err == checksumRejectErr {
-			x.abandon()
-			chunkTransient = true
-			return false, fmt.Errorf("fetch from space %d: %s", origin, m.Err)
-		}
-		if ferr := rt.fenceCheck(origin, m.Inc); ferr != nil {
-			x.abandon()
-			return false, ferr
-		}
-		if m.Err != "" {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: %s", origin, m.Err)
-		}
-		if m.Kind != wire.KindFetchChunk {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: %v frame inside a chunk stream", origin, m.Kind)
-		}
-		cp, err := wire.DecodeFetchChunkPayload(m.Payload)
-		if err != nil {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: chunk decode: %w", origin, err)
-		}
-		if cp.Validate {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: validate chunk in a fetch stream", origin)
-		}
-		if err := asm.accept(&cp); err != nil {
-			x.abandon()
-			// A dropped, duplicated, or reordered chunk is a transport
-			// fault: the stream is torn, but a retry streams it afresh.
-			chunkTransient = true
-			return false, fmt.Errorf("fetch from space %d: %w", origin, err)
-		}
-		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
-		if err := rt.installItems(origin, sess, cp.Items, false); err != nil {
-			x.abandon()
-			return false, fmt.Errorf("fetch from space %d: install: %w", origin, err)
-		}
-		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: cp.Chunk, Count: len(cp.Items)})
-		for _, it := range cp.Items {
+		for _, it := range c.Items {
 			delete(missing, it.LP)
 		}
-		if spec {
-			var n uint64
-			for _, it := range cp.Items {
-				n += uint64(len(it.Bytes))
-			}
-			rt.stats.pfBytes.Add(n)
-		}
-		return cp.Final, nil
-	}
-	final, err := installChunk(reply)
-	for !final && err == nil {
 		if len(missing) == 0 && !spec {
-			// Every primary want is resident: unblock the faulting
-			// access and drain the tail in the background. Speculative
-			// completions have no one waiting and drain inline.
 			f.signalPrimary()
-			drain := func() {
+			x.detached = true
+			return func() {
+				defer x.release()
 				for {
-					m, err := x.next()
+					m, c, err := x.next()
 					if err != nil {
 						return
 					}
-					final, err := installChunk(m)
+					err = rt.installFetched(sess, origin, spec, m, &c)
 					// Wake parked joiners after every install: a fault
 					// whose entries this chunk covered unblocks now.
 					f.progress()
-					if final || err != nil {
+					if c.Final || err != nil {
 						return
 					}
 				}
-			}
-			return true, drain, false, nil
-		}
-		var m wire.Message
-		if m, err = x.next(); err == nil {
-			final, err = installChunk(m)
-		} else {
-			// A stalled stream (per-chunk deadline) or a send-loop
-			// failure: worth a fresh attempt unless the runtime closed.
-			chunkTransient = !errors.Is(err, ErrClosed)
-			err = fmt.Errorf("fetch from space %d: %w", origin, err)
+			}, nil
 		}
 	}
-	if err != nil {
-		return false, nil, chunkTransient, err
+}
+
+// installFetched installs one fetch reply frame's items and releases the
+// frame they alias.
+func (rt *Runtime) installFetched(sess uint64, origin uint32, spec bool, m wire.Message, c *wire.FetchChunkPayload) error {
+	defer m.ReleaseFrame()
+	chunked := m.Kind == wire.KindFetchChunk
+	if chunked {
+		rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: c.Chunk, Count: len(c.Items)})
+	}
+	// Fetch replies bypass the delta-shipping state (coh=false): a datum
+	// is fetched at most once per session, so there is no baseline to
+	// diff against and tracking it would desynchronize the edge.
+	if err := rt.installItems(origin, sess, c.Items, false); err != nil {
+		return fmt.Errorf("fetch from space %d: install: %w", origin, err)
+	}
+	if chunked {
+		rt.trace(Event{Kind: EvChunkInstall, Target: origin, Page: c.Chunk, Count: len(c.Items)})
 	}
 	if spec {
-		return false, nil, false, nil
+		var n uint64
+		for _, it := range c.Items {
+			n += uint64(len(it.Bytes))
+		}
+		rt.stats.pfBytes.Add(n)
 	}
-	return true, nil, false, nil
+	return nil
 }
 
 // chunkEmitter streams one serve's reply as a KindFetchChunk sequence.
@@ -664,12 +576,11 @@ func (em *chunkEmitter) emit(items []wire.DataItem, vitems []wire.ValidateItem, 
 
 // fail ends a partially sent stream with an error chunk, so the client
 // abandons the exchange immediately instead of waiting out its deadline.
-func (em *chunkEmitter) fail(errStr string) {
+func (em *chunkEmitter) fail(err error) {
 	if em.err != nil {
 		return // the peer is unreachable; nothing to tell it
 	}
-	rt := em.rt
-	rt.reply(em.req, wire.KindFetchChunk, nil, errStr)
+	em.rt.reply(em.req, wire.KindFetchChunk, nil, err)
 }
 
 // serveFetch answers a data request: it sends the wanted objects plus a
@@ -686,7 +597,7 @@ func (em *chunkEmitter) fail(errStr string) {
 func (rt *Runtime) serveFetch(m wire.Message) {
 	p, err := wire.DecodeFetchPayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindFetchReply, nil, fmt.Sprintf("decode: %v", err))
+		rt.reply(m, wire.KindFetchReply, nil, fmt.Errorf("decode: %w", err))
 		return
 	}
 	rt.serveMu.RLock()
@@ -709,10 +620,10 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 	items, err := rt.buildClosureItems(p.Wants, int(p.Primary), int(p.Budget), sc, em)
 	if err != nil {
 		if em != nil && em.sent > 0 {
-			em.fail(err.Error())
+			em.fail(err)
 			return
 		}
-		rt.reply(m, wire.KindFetchReply, nil, err.Error())
+		rt.reply(m, wire.KindFetchReply, nil, err)
 		return
 	}
 	if em != nil && em.sent > 0 {
@@ -726,7 +637,7 @@ func (rt *Runtime) serveFetch(m wire.Message) {
 		rt.recordServed(m.From, items)
 	}
 	out := wire.ItemsPayload{Items: items}
-	rt.reply(m, wire.KindFetchReply, out.Encode(), "")
+	rt.reply(m, wire.KindFetchReply, out.Encode(), nil)
 }
 
 // closureJob is one queued traversal step of a closure build.
@@ -1067,26 +978,44 @@ func (rt *Runtime) fetchOne(lp wire.LongPtr) ([]byte, error) {
 	}
 	p := wire.FetchPayload{Wants: []wire.LongPtr{lp}, Budget: 0}
 	rt.stats.fetchesSent.Add(1)
-	reply, err := rt.sendAndWait(wire.Message{
+	var b []byte
+	err := rt.do(wire.Message{
 		Kind:    wire.KindFetch,
 		Session: sess,
 		To:      lp.Space,
 		Payload: p.Encode(),
+	}, func(x *exchange) error {
+		// The origin may stream even a one-object reply (its chunk size
+		// is its own choice), so collect the item from whichever frame
+		// carries it.
+		n, found := 0, false
+		for {
+			m, c, err := x.next()
+			if err != nil {
+				return err
+			}
+			for _, it := range c.Items {
+				if n++; n == 1 && it.LP == lp {
+					b, found = it.Bytes, true
+					if m.Frame != nil {
+						b = slices.Clone(b) // chunk items alias the pooled frame
+					}
+				}
+			}
+			m.ReleaseFrame()
+			if c.Final {
+				break
+			}
+		}
+		if n != 1 || !found {
+			return fmt.Errorf("unexpected reply shape (%d items)", n)
+		}
+		return nil
 	})
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("fetch %v: %w", lp, err)
 	}
-	if reply.Err != "" {
-		return nil, fmt.Errorf("fetch %v: %s", lp, reply.Err)
-	}
-	rp, err := wire.DecodeItemsPayload(reply.Payload)
-	if err != nil {
-		return nil, err
-	}
-	if len(rp.Items) != 1 || rp.Items[0].LP != lp {
-		return nil, fmt.Errorf("fetch %v: unexpected reply shape (%d items)", lp, len(rp.Items))
-	}
-	return rp.Items[0].Bytes, nil
+	return b, nil
 }
 
 // writeOne sends a single object's canonical bytes home: the lazy
@@ -1123,17 +1052,13 @@ func (rt *Runtime) writeOne(lp wire.LongPtr, data []byte) error {
 	}
 	p := wire.ItemsPayload{Items: items}
 	rt.stats.writeBackMsgs.Add(1)
-	reply, err := rt.sendAndWait(wire.Message{
+	if _, err := rt.roundTrip(wire.Message{
 		Kind:    wire.KindWriteBack,
 		Session: sess,
 		To:      lp.Space,
 		Payload: p.Encode(),
-	})
-	if err != nil {
-		return err
-	}
-	if reply.Err != "" {
-		return fmt.Errorf("write back %v: %s", lp, reply.Err)
+	}); err != nil {
+		return fmt.Errorf("write back %v: %w", lp, err)
 	}
 	return nil
 }

@@ -232,56 +232,54 @@ func TestConcurrentClientFetch(t *testing.T) {
 // replacement.
 type singleLockPending struct {
 	mu sync.Mutex
-	m  map[uint64]chan wire.Message
+	m  map[uint64]*waiter
 }
 
-func (t *singleLockPending) put(seq uint64, ch chan wire.Message) {
+func (t *singleLockPending) put(seq uint64, w *waiter) {
 	t.mu.Lock()
-	t.m[seq] = ch
+	t.m[seq] = w
 	t.mu.Unlock()
 }
 
-func (t *singleLockPending) take(seq uint64) (chan wire.Message, bool) {
+func (t *singleLockPending) deliver(m wire.Message) bool {
 	t.mu.Lock()
-	ch, ok := t.m[seq]
+	defer t.mu.Unlock()
+	w, ok := t.m[m.Seq]
 	if ok {
-		delete(t.m, seq)
+		delete(t.m, m.Seq)
+		w.push(m)
 	}
-	t.mu.Unlock()
-	return ch, ok
+	return ok
 }
 
-// BenchmarkPendingTable measures put/take pairs under parallel load for
-// the sharded table against the single-mutex map it replaced. The
-// workload mirrors sendAndWait: consecutive sequence numbers from one
-// atomic counter, registered and then claimed.
+// BenchmarkPendingTable measures register/deliver/pop cycles under
+// parallel load for the sharded table against a single-mutex map. The
+// workload mirrors a one-frame exchange: consecutive sequence numbers
+// from one atomic counter, each registered with its goroutine's waiter,
+// answered by one reply frame, and popped.
 func BenchmarkPendingTable(b *testing.B) {
+	run := func(b *testing.B, put func(uint64, *waiter), deliver func(wire.Message) bool) {
+		var seq atomic.Uint64
+		b.RunParallel(func(pb *testing.PB) {
+			w := &waiter{wake: make(chan struct{}, 1)}
+			for pb.Next() {
+				s := seq.Add(1)
+				put(s, w)
+				if !deliver(wire.Message{Kind: wire.KindReturn, Seq: s}) {
+					b.Fatal("lost pending entry")
+				}
+				if _, ok := w.pop(); !ok {
+					b.Fatal("delivered frame not queued")
+				}
+			}
+		})
+	}
 	b.Run("sharded", func(b *testing.B) {
 		tab := newPendingTable()
-		var seq atomic.Uint64
-		ch := make(chan wire.Message, 1)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				s := seq.Add(1)
-				tab.put(s, ch)
-				if _, ok := tab.take(s); !ok {
-					b.Fatal("lost pending entry")
-				}
-			}
-		})
+		run(b, tab.put, tab.deliver)
 	})
 	b.Run("single-lock", func(b *testing.B) {
-		tab := &singleLockPending{m: make(map[uint64]chan wire.Message)}
-		var seq atomic.Uint64
-		ch := make(chan wire.Message, 1)
-		b.RunParallel(func(pb *testing.PB) {
-			for pb.Next() {
-				s := seq.Add(1)
-				tab.put(s, ch)
-				if _, ok := tab.take(s); !ok {
-					b.Fatal("lost pending entry")
-				}
-			}
-		})
+		tab := &singleLockPending{m: make(map[uint64]*waiter)}
+		run(b, tab.put, tab.deliver)
 	})
 }

@@ -163,7 +163,7 @@ func TestReplayCacheVerdicts(t *testing.T) {
 	if v := rc.admit(retry); v != admitSwallow {
 		t.Fatalf("mid-execution retry verdict = %v, want swallow", v)
 	}
-	seq, ok := rc.complete(req, wire.KindWriteBackAck, []byte{1, 2}, "")
+	seq, ok := rc.complete(req, wire.KindWriteBackAck, []byte{1, 2}, "", wire.CodeNone)
 	if !ok || seq != retry.Seq {
 		t.Fatalf("complete = (%d, %v), want (%d, true)", seq, ok, retry.Seq)
 	}
@@ -173,7 +173,7 @@ func TestReplayCacheVerdicts(t *testing.T) {
 		t.Fatalf("post-completion retry verdict = %v, want replay", v)
 	}
 	// Completing twice is refused (the entry is already done).
-	if _, ok := rc.complete(req, wire.KindWriteBackAck, nil, ""); ok {
+	if _, ok := rc.complete(req, wire.KindWriteBackAck, nil, "", wire.CodeNone); ok {
 		t.Error("second complete accepted")
 	}
 	// Dropping the session forgets the exchange entirely.
@@ -200,7 +200,7 @@ func TestReplayCacheEviction(t *testing.T) {
 		if v := rc.admit(m); v != admitExecute {
 			t.Fatalf("xid %d admit = %v, want execute", xid, v)
 		}
-		rc.complete(m, wire.KindWriteBackAck, nil, "")
+		rc.complete(m, wire.KindWriteBackAck, nil, "", wire.CodeNone)
 	}
 	rc.mu.Lock()
 	n := len(rc.entries)

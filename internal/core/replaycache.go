@@ -53,6 +53,7 @@ type replayEntry struct {
 	kind    wire.Kind
 	payload []byte
 	errStr  string
+	code    wire.ErrCode
 }
 
 type replayCache struct {
@@ -111,7 +112,7 @@ func (rc *replayCache) admit(m wire.Message) admitVerdict {
 // no executing entry exists (the request was not admitted — an
 // idempotent kind, or the entry was evicted mid-execution), in which
 // case the caller replies to the request's own seq.
-func (rc *replayCache) complete(m wire.Message, kind wire.Kind, payload []byte, errStr string) (uint64, bool) {
+func (rc *replayCache) complete(m wire.Message, kind wire.Kind, payload []byte, errStr string, code wire.ErrCode) (uint64, bool) {
 	key := replayKey{from: m.From, sess: m.Session, xid: wire.SeqXID(m.Seq)}
 	rc.mu.Lock()
 	defer rc.mu.Unlock()
@@ -124,7 +125,7 @@ func (rc *replayCache) complete(m wire.Message, kind wire.Kind, payload []byte, 
 	// Copy: serve paths may recycle the payload's backing buffer after
 	// the reply is sent.
 	e.payload = append([]byte(nil), payload...)
-	e.errStr = errStr
+	e.errStr, e.code = errStr, code
 	return e.lastSeq, true
 }
 
@@ -137,9 +138,9 @@ func (rc *replayCache) resend(rt *Runtime, m wire.Message) {
 		rc.mu.Unlock()
 		return
 	}
-	kind, payload, errStr, seq := e.kind, e.payload, e.errStr, e.lastSeq
+	kind, payload, errStr, code, seq := e.kind, e.payload, e.errStr, e.code, e.lastSeq
 	rc.mu.Unlock()
-	rt.replyRaw(m.From, m.Session, seq, kind, payload, errStr)
+	rt.replyRaw(m.From, m.Session, seq, kind, payload, errStr, code)
 }
 
 // dropSession discards every entry belonging to one retired session.

@@ -490,10 +490,10 @@ type Runtime struct {
 	procs   map[string]Handler
 
 	seq atomic.Uint64
-	// pending maps in-flight request sequence numbers to their waiters'
-	// reply channels, lock-striped (pending.go) so the fan-out fetch
-	// path, the prefetcher, and concurrent application goroutines do not
-	// contend on one mutex.
+	// pending maps in-flight attempt sequence numbers to their waiters,
+	// lock-striped (exchange.go) so the fan-out fetch path, the
+	// prefetcher, and concurrent application goroutines do not contend on
+	// one mutex.
 	pending *pendingTable
 
 	// installMu serializes cache installs (installItems and the
@@ -819,10 +819,9 @@ func (rt *Runtime) Close() error {
 		close(rt.stop)
 		_ = rt.node.Close()
 		<-rt.done
-		// Fail any callers still waiting for replies.
-		rt.pending.drain()
-		// Background chunk drainers woke on stop (or their failed stream
-		// buffers); reap them so Close leaves no goroutines behind.
+		// Callers still waiting for replies and background chunk
+		// drainers wake on stop; reap the drainers so Close leaves no
+		// goroutines behind.
 		rt.bgDrain.Wait()
 	})
 	return nil
@@ -961,64 +960,32 @@ func (rt *Runtime) loop() {
 		}
 		if !m.SumOK() {
 			// A frame corrupted in flight. For a reply, surface the
-			// corruption to the waiting requester as an ordinary remote
-			// error (the payload cannot be trusted, so none is kept).
-			// For a request, answer with an error so the sender is not
-			// left to its deadline — its frame's identity fields are
-			// covered by the checksum too, but a reply keyed on a
-			// corrupted Seq simply finds no requester and is dropped.
+			// corruption to the waiting requester as a typed checksum
+			// reject (the payload cannot be trusted, so none is kept).
+			// For a request, answer with one so the sender is not left to
+			// its deadline — its frame's identity fields are covered by
+			// the checksum too, but a reply keyed on a corrupted Seq
+			// simply finds no requester and is dropped.
 			rt.trace(Event{Kind: EvChecksumReject, Target: m.From})
-			if m.Kind.IsReply() {
-				m.Err = checksumRejectErr
-				m.Payload = nil
-			} else {
+			if !m.Kind.IsReply() {
 				// Raw reply: the frame's identity fields are untrustworthy,
 				// so it must not complete a replay-cache entry either.
-				rt.replyRaw(m.From, m.Session, m.Seq, m.Kind.ReplyKind(), nil, checksumRejectErr)
+				rt.replyRaw(m.From, m.Session, m.Seq, m.Kind.ReplyKind(), nil,
+					checksumRejectErr, wire.CodeChecksumReject)
 				continue
 			}
+			m.Err, m.Code, m.Payload = checksumRejectErr, wire.CodeChecksumReject, nil
 		}
-		if m.Kind == wire.KindFetchChunk {
-			// One chunk of a streamed reply. Non-final chunks leave the
-			// exchange registered for the rest of the sequence; a final
-			// chunk — including a corrupt frame, whose payload cannot
-			// name an ordinal — closes it. Chunks with no registered
-			// exchange (an abandoned or timed-out stream) release their
-			// frame buffers and drop.
-			var sb *streamBuf
-			var ok bool
-			if m.Err != "" || wire.ChunkIsFinal(m.Payload) {
-				sb, ok = rt.pending.takeStream(m.Seq)
-			} else {
-				sb, ok = rt.pending.peekStream(m.Seq)
-			}
-			if ok {
-				sb.push(m)
-			} else {
-				// Stale chunk: the stream's waiter abandoned the exchange
-				// (timed out or retried under a fresh attempt seq).
+		if m.Kind.IsReply() {
+			if !rt.pending.deliver(m) {
+				// Stale reply: its waiter timed out or retried and
+				// abandoned this attempt's sequence number. Positively
+				// discard it — releasing any pooled frame buffer it
+				// carries — instead of leaving the frame to the garbage
+				// collector.
 				m.ReleaseFrame()
 				rt.stats.staleReplyDrops.Add(1)
 			}
-			continue
-		}
-		if m.Kind.IsReply() {
-			// A monolithic reply may answer a stream-capable request
-			// (the origin answered below the streaming threshold).
-			if sb, ok := rt.pending.takeStream(m.Seq); ok {
-				sb.push(m)
-				continue
-			}
-			if ch, ok := rt.pending.take(m.Seq); ok {
-				ch <- m
-				continue
-			}
-			// Stale reply: its waiter timed out or retried and abandoned
-			// this attempt's sequence number. Positively discard it —
-			// releasing any pooled frame buffer it carries — instead of
-			// leaving the frame to the garbage collector.
-			m.ReleaseFrame()
-			rt.stats.staleReplyDrops.Add(1)
 			continue
 		}
 		if rt.dupRequest(m.From, m.Session, m.Seq) {
@@ -1051,116 +1018,32 @@ func (rt *Runtime) loop() {
 	}
 }
 
-// replyChans recycles the one-shot reply channels sendAndWait blocks on,
-// so steady-state requests allocate nothing. A channel is only returned to
-// the pool after its single message has been received, so pooled channels
-// are always empty and open.
-var replyChans = sync.Pool{
-	New: func() any { return make(chan wire.Message, 1) },
-}
-
-// checksumRejectErr is the reply-surface rendering of a frame that
-// failed integrity verification: the dispatcher substitutes it for a
-// corrupted reply's untrustworthy payload, and answers a corrupted
-// request with it. The retry layer matches it by value — it is the one
-// remote error string that marks a transient wire fault rather than an
-// application outcome.
-const checksumRejectErr = "wire: frame checksum mismatch (corrupted in flight)"
-
-// sendAndWait sends a request and blocks for its reply, retrying
-// transparently on transient failures when Options.RetryBudget is set
-// (retryLoop, health.go). One exchange id is allocated for the whole
-// exchange; each attempt travels under a distinct Seq (xid + attempt
-// ordinal in the top bits), so a late reply to an abandoned attempt
-// misses the pending table instead of masquerading as the current
-// attempt's reply, and the origin's reply cache recognizes the retry by
-// its xid. With the budget unset (the default), this is a single
-// attempt — byte-identical to the seed protocol. A checksum-rejected
-// reply that exhausts the budget is returned with its Err surface
-// intact, exactly as a single-shot exchange would have surfaced it.
-func (rt *Runtime) sendAndWait(m wire.Message) (wire.Message, error) {
-	var r wire.Message
-	err := rt.retryLoop(m.To, m.Kind, func(seq uint64) (bool, error) {
-		var err error
-		r, err = rt.sendAndWaitSeq(m, seq)
-		if err != nil {
-			return !errors.Is(err, ErrClosed), err
-		}
-		if r.Err == checksumRejectErr {
-			// A corrupted frame's incarnation word is garbage; never
-			// feed it to the fence.
-			return true, nil
-		}
-		if ferr := rt.fenceCheck(m.To, r.Inc); ferr != nil {
-			r = wire.Message{}
-			return false, ferr
-		}
-		return false, nil
-	})
-	return r, err
-}
-
-// sendAndWaitSeq sends one attempt of a request under the given
-// sequence number and blocks for its reply, or until the runtime closes
-// or the configured call deadline expires.
-func (rt *Runtime) sendAndWaitSeq(m wire.Message, seq uint64) (wire.Message, error) {
-	m.Seq = seq
-	m.Seal()
-	ch := replyChans.Get().(chan wire.Message)
-	rt.pending.put(seq, ch)
-	cleanup := func() { rt.pending.drop(seq) }
-	if err := rt.node.Send(m); err != nil {
-		cleanup()
-		return wire.Message{}, fmt.Errorf("send %v to space %d: %w", m.Kind, m.To, err)
-	}
-	var deadline <-chan time.Time
-	if rt.callTimeout > 0 {
-		timer := time.NewTimer(rt.callTimeout)
-		defer timer.Stop()
-		deadline = timer.C
-	}
-	select {
-	case r, ok := <-ch:
-		if !ok {
-			// Close drained the pending map and closed the channel; it must
-			// not go back in the pool.
-			return wire.Message{}, ErrClosed
-		}
-		replyChans.Put(ch)
-		return r, nil
-	case <-deadline:
-		// A late reply finds no pending entry and is positively dropped
-		// by the dispatcher; the channel may still receive a racing
-		// delivery (it is buffered), so it cannot be pooled.
-		cleanup()
-		return wire.Message{}, fmt.Errorf("%v to space %d after %v: %w",
-			m.Kind, m.To, rt.callTimeout, ErrDeadline)
-	case <-rt.stop:
-		// The dispatcher may have plucked the channel from the pending map
-		// and be about to deliver into it, so it cannot be pooled either.
-		cleanup()
-		return wire.Message{}, ErrClosed
-	}
-}
-
 // reply sends a response correlated to request m. For replayable
 // (non-idempotent) exchanges it also completes the at-most-once cache
 // entry the dispatcher admitted: the reply bytes are retained for
 // replay to later retries, and the response is addressed to the newest
 // attempt's sequence number in case a retry was swallowed while the
 // request executed.
-func (rt *Runtime) reply(m wire.Message, kind wire.Kind, payload []byte, errStr string) {
+//
+// A non-nil err travels as the reply's Err text plus its typed code
+// (errCode), so the requester never has to interpret the text.
+func (rt *Runtime) reply(m wire.Message, kind wire.Kind, payload []byte, err error) {
+	var errStr string
+	var code wire.ErrCode
+	if err != nil {
+		errStr, code = err.Error(), errCode(err)
+	}
 	seq := m.Seq
 	if replayableRequest(m.Kind) {
-		if last, ok := rt.replay.complete(m, kind, payload, errStr); ok {
+		if last, ok := rt.replay.complete(m, kind, payload, errStr, code); ok {
 			seq = last
 		}
 	}
-	rt.replyRaw(m.From, m.Session, seq, kind, payload, errStr)
+	rt.replyRaw(m.From, m.Session, seq, kind, payload, errStr, code)
 }
 
 // replyRaw sends a response frame with no replay-cache interaction.
-func (rt *Runtime) replyRaw(to uint32, sess, seq uint64, kind wire.Kind, payload []byte, errStr string) {
+func (rt *Runtime) replyRaw(to uint32, sess, seq uint64, kind wire.Kind, payload []byte, errStr string, code wire.ErrCode) {
 	if payload == nil {
 		payload = []byte{}
 	}
@@ -1172,6 +1055,7 @@ func (rt *Runtime) replyRaw(to uint32, sess, seq uint64, kind wire.Kind, payload
 		Err:     errStr,
 		Payload: payload,
 		Inc:     rt.incarnation,
+		Code:    code,
 	}
 	resp.Seal()
 	_ = rt.node.Send(resp)

@@ -5,7 +5,6 @@ import (
 	"errors"
 	"fmt"
 	"slices"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -143,13 +142,9 @@ func (rt *Runtime) EndSession() error {
 		})
 	}
 	writeBack := func(m wire.Message) error {
-		reply, err := rt.sendAndWait(m)
-		if err != nil {
-			return fmt.Errorf("end session: write back to space %d: %w", m.To, err)
-		}
 		rt.stats.writeBackMsgs.Add(1)
-		if reply.Err != "" {
-			return fmt.Errorf("end session: space %d rejected write-back: %s", m.To, reply.Err)
+		if _, err := rt.roundTrip(m); err != nil {
+			return fmt.Errorf("end session: write back to space %d: %w", m.To, err)
 		}
 		return nil
 	}
@@ -173,17 +168,13 @@ func (rt *Runtime) EndSession() error {
 	// 2. Multicast the invalidation to the participating spaces.
 	invalidate := func(p uint32) error {
 		rt.trace(Event{Kind: EvInvalidateSent, Target: p})
-		reply, err := rt.sendAndWait(wire.Message{
+		if _, err := rt.roundTrip(wire.Message{
 			Kind:    wire.KindInvalidate,
 			Session: sess,
 			To:      p,
 			Payload: []byte{},
-		})
-		if err != nil {
+		}); err != nil {
 			return fmt.Errorf("end session: invalidate space %d: %w", p, err)
-		}
-		if reply.Err != "" {
-			return fmt.Errorf("end session: space %d rejected invalidate: %s", p, reply.Err)
 		}
 		return nil
 	}
@@ -356,7 +347,7 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 	}
 	rt.stats.callsSent.Add(1)
 	rt.trace(Event{Kind: EvCallSent, Target: target, Proc: proc})
-	reply, err := rt.sendAndWait(wire.Message{
+	reply, err := rt.roundTrip(wire.Message{
 		Kind:    wire.KindCall,
 		Session: sess,
 		To:      target,
@@ -364,18 +355,16 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 		Payload: payload.Encode(),
 	})
 	if err != nil {
-		return nil, fmt.Errorf("call %s@%d: %w", proc, target, err)
-	}
-	if reply.Err != "" {
 		// Error returns may still carry the callee's modified data set
 		// (writes made before the failure are not transactional).
-		if len(reply.Payload) > 0 {
+		var re *remoteError
+		if errors.As(err, &re) && len(reply.Payload) > 0 {
 			if rp, derr := wire.DecodeCallPayload(reply.Payload); derr == nil {
 				rt.mergeParts(rp.Parts)
 				_ = rt.installItems(target, sess, rp.Items, true)
 			}
 		}
-		return nil, fmt.Errorf("call %s@%d: %w", proc, target, remoteErr(reply.Err))
+		return nil, fmt.Errorf("call %s@%d: %w", proc, target, err)
 	}
 	rp, err := wire.DecodeCallPayload(reply.Payload)
 	if err != nil {
@@ -386,20 +375,6 @@ func (rt *Runtime) Call(target uint32, proc string, args []Value) ([]Value, erro
 		return nil, fmt.Errorf("call %s@%d: install returned data: %w", proc, target, err)
 	}
 	return rt.argsToValues(rp.Args)
-}
-
-// remoteErr converts a callee-reported error string back into an error,
-// re-typing sentinels that must survive multi-hop propagation: when a
-// callee fences a restarted space deeper in the call chain, the fence
-// crosses each hop as text in the Return's Err field, and every caller
-// up the chain must still be able to match errors.Is(err,
-// ErrOriginRestarted) — a nested restart is just as terminal (and just
-// as non-retryable) as a direct one.
-func remoteErr(s string) error {
-	if tail := ErrOriginRestarted.Error(); strings.Contains(s, tail) {
-		return fmt.Errorf("remote: %s%w", strings.TrimSuffix(s, tail), ErrOriginRestarted)
-	}
-	return fmt.Errorf("remote: %s", s)
 }
 
 // buildTransferPayload assembles the outbound payload for a control
@@ -452,7 +427,13 @@ func (rt *Runtime) buildTransferPayload(sess uint64, peer uint32, args []Value) 
 	}
 	items = rt.deltaShipItems(peer, sess, items, false)
 	if rt.checkInv {
-		if err := rt.CheckLocalInvariants(); err != nil {
+		// A background chunk drain or speculative completion may be
+		// installing concurrently; check between install batches, never
+		// against one half applied.
+		rt.installMu.Lock()
+		err := rt.CheckLocalInvariants()
+		rt.installMu.Unlock()
+		if err != nil {
 			return nil, err
 		}
 	}
@@ -592,18 +573,14 @@ func (rt *Runtime) sendDirtyHome(sess uint64, dirty []wire.DataItem) error {
 			continue // origin already holds every value
 		}
 		p := wire.ItemsPayload{Items: items}
-		reply, err := rt.sendAndWait(wire.Message{
+		rt.stats.writeBackMsgs.Add(1)
+		if _, err := rt.roundTrip(wire.Message{
 			Kind:    wire.KindWriteBack,
 			Session: sess,
 			To:      origin,
 			Payload: p.Encode(),
-		})
-		if err != nil {
-			return err
-		}
-		rt.stats.writeBackMsgs.Add(1)
-		if reply.Err != "" {
-			return fmt.Errorf("space %d rejected write-back: %s", origin, reply.Err)
+		}); err != nil {
+			return fmt.Errorf("write back to space %d: %w", origin, err)
 		}
 	}
 	return nil
@@ -612,29 +589,29 @@ func (rt *Runtime) sendDirtyHome(sess uint64, dirty []wire.DataItem) error {
 // serveCall executes one incoming RPC request end to end.
 func (rt *Runtime) serveCall(m wire.Message) {
 	if err := rt.adoptSession(m.Session, m.From); err != nil {
-		rt.reply(m, wire.KindReturn, nil, err.Error())
+		rt.reply(m, wire.KindReturn, nil, err)
 		return
 	}
 	p, err := wire.DecodeCallPayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("decode call: %v", err))
+		rt.reply(m, wire.KindReturn, nil, fmt.Errorf("decode call: %w", err))
 		return
 	}
 	rt.mergeParts(p.Parts)
 	if err := rt.installItems(m.From, m.Session, p.Items, true); err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("install: %v", err))
+		rt.reply(m, wire.KindReturn, nil, fmt.Errorf("install: %w", err))
 		return
 	}
 	args, err := rt.argsToValues(p.Args)
 	if err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("swizzle args: %v", err))
+		rt.reply(m, wire.KindReturn, nil, fmt.Errorf("swizzle args: %w", err))
 		return
 	}
 	rt.procsMu.RLock()
 	h, ok := rt.procs[m.Proc]
 	rt.procsMu.RUnlock()
 	if !ok {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("%v: %q", ErrUnknownProc, m.Proc))
+		rt.reply(m, wire.KindReturn, nil, fmt.Errorf("%w: %q", ErrUnknownProc, m.Proc))
 		return
 	}
 	rt.stats.callsServed.Add(1)
@@ -647,18 +624,18 @@ func (rt *Runtime) serveCall(m wire.Message) {
 		// the session ends next.
 		out, perr := rt.buildTransferPayload(m.Session, m.From, nil)
 		if perr != nil {
-			rt.reply(m, wire.KindReturn, nil, err.Error())
+			rt.reply(m, wire.KindReturn, nil, err)
 			return
 		}
-		rt.reply(m, wire.KindReturn, out.Encode(), err.Error())
+		rt.reply(m, wire.KindReturn, out.Encode(), err)
 		return
 	}
 	out, err := rt.buildTransferPayload(m.Session, m.From, results)
 	if err != nil {
-		rt.reply(m, wire.KindReturn, nil, fmt.Sprintf("build return: %v", err))
+		rt.reply(m, wire.KindReturn, nil, fmt.Errorf("build return: %w", err))
 		return
 	}
-	rt.reply(m, wire.KindReturn, out.Encode(), "")
+	rt.reply(m, wire.KindReturn, out.Encode(), nil)
 }
 
 // serveInvalidate implements the end-of-session invalidation on a
@@ -697,11 +674,11 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 			err := rt.CheckLocalInvariants()
 			rt.serveMu.RUnlock()
 			if err != nil {
-				rt.reply(m, wire.KindInvalidateAck, nil, err.Error())
+				rt.reply(m, wire.KindInvalidateAck, nil, err)
 				return
 			}
 		}
-		rt.reply(m, wire.KindInvalidateAck, nil, "")
+		rt.reply(m, wire.KindInvalidateAck, nil, nil)
 		return
 	}
 	// Quiesce speculation and streamed-fetch tails before touching the
@@ -735,11 +712,11 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 	rt.coh.clearSession(m.Session)
 	if rt.checkInv {
 		if err := rt.CheckIdleInvariants(); err != nil {
-			rt.reply(m, wire.KindInvalidateAck, nil, err.Error())
+			rt.reply(m, wire.KindInvalidateAck, nil, err)
 			return
 		}
 	}
-	rt.reply(m, wire.KindInvalidateAck, nil, "")
+	rt.reply(m, wire.KindInvalidateAck, nil, nil)
 }
 
 // touchObject records that the cached foreign object at addr carries a
@@ -906,7 +883,7 @@ func (rt *Runtime) applyWriteBack(items []wire.DataItem) error {
 func (rt *Runtime) serveWriteBack(m wire.Message) {
 	p, err := wire.DecodeItemsPayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindWriteBackAck, nil, fmt.Sprintf("decode: %v", err))
+		rt.reply(m, wire.KindWriteBackAck, nil, fmt.Errorf("decode: %w", err))
 		return
 	}
 	// Applying mutates the heap other serves may be encoding from: take
@@ -916,18 +893,18 @@ func (rt *Runtime) serveWriteBack(m wire.Message) {
 	for _, it := range p.Items {
 		full, fresh, err := rt.cohReceive(m.From, m.Session, it)
 		if err != nil {
-			rt.reply(m, wire.KindWriteBackAck, nil, err.Error())
+			rt.reply(m, wire.KindWriteBackAck, nil, err)
 			return
 		}
 		if !fresh {
 			continue // the heap already holds this value from an earlier crossing
 		}
 		if err := rt.applyHome(it.LP, full); err != nil {
-			rt.reply(m, wire.KindWriteBackAck, nil, err.Error())
+			rt.reply(m, wire.KindWriteBackAck, nil, err)
 			return
 		}
 	}
-	rt.reply(m, wire.KindWriteBackAck, nil, "")
+	rt.reply(m, wire.KindWriteBackAck, nil, nil)
 }
 
 // installItems caches incoming data items from space `from` within

@@ -273,28 +273,50 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		return false, nil
 	}
 	p := wire.ValidatePayload{Tuples: tuples}
-	payload := p.Encode()
+	req := wire.Message{Kind: wire.KindValidate, Session: sess, To: origin, Payload: p.Encode()}
+	// Unlike a fetch stream nothing is installed mid-exchange —
+	// revalidation decisions need the full answer set (unanswered tuples
+	// degrade) — so the reply's item vectors are collected in order, and
+	// streaming here buys pipelined encode/transmit on the origin, not
+	// early unblocking. Item bytes may alias pooled chunk frames; those
+	// are held until the apply has consumed (cloned or patched from)
+	// every body.
 	var items []wire.ValidateItem
-	var release func()
-	rerr := rt.retryLoop(origin, wire.KindValidate, func(seq uint64) (bool, error) {
+	var frames []wire.Message
+	release := func() {
+		for i := range frames {
+			frames[i].ReleaseFrame()
+		}
+		frames = frames[:0]
+	}
+	rerr := rt.do(req, func(x *exchange) error {
 		rt.stats.cohRevalidateMsgs.Add(1)
 		rt.trace(Event{Kind: EvValidateSent, Target: origin, Page: pn, Count: len(tuples)})
-		x, err := rt.sendAndStreamSeq(wire.Message{
-			Kind:    wire.KindValidate,
-			Session: sess,
-			To:      origin,
-			Payload: payload,
-		}, seq)
-		if err != nil {
-			return !errors.Is(err, ErrClosed), err
+		release()
+		items = nil
+		for {
+			m, c, err := x.next()
+			if err != nil {
+				return err
+			}
+			if m.Frame != nil {
+				frames = append(frames, m)
+			}
+			if m.Kind == wire.KindFetchChunk {
+				rt.trace(Event{Kind: EvChunkRecv, Target: origin, Page: c.Chunk, Count: len(c.VItems)})
+			}
+			if items == nil {
+				items = c.VItems
+			} else {
+				items = append(items, c.VItems...)
+			}
+			if c.Final {
+				return nil
+			}
 		}
-		items, release, err = rt.recvValidateReply(x)
-		if err != nil {
-			return errors.Is(err, errTransient), err
-		}
-		return false, nil
 	})
 	if rerr != nil {
+		release()
 		// A tripped fence is real state loss, not a lost reply: surface it.
 		// Everything else keeps the seed's graceful degrade — the offered
 		// tuples fall back to plain wants and the fetch loop refetches.
@@ -304,95 +326,12 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 		rt.degradeStale(tuples)
 		return false, nil
 	}
-	// Item bytes may alias pooled chunk frames; hold them until the apply
-	// has consumed (cloned or patched from) every body.
 	err = rt.applyValidateReply(tuples, items)
 	release()
 	if err != nil {
 		return false, err
 	}
 	return true, nil
-}
-
-// recvValidateReply drains one Validate exchange: either the classic
-// monolithic ValidateReply frame or a sequence of validate-flagged chunk
-// frames, whose item vectors are concatenated in order. Unlike a fetch
-// stream nothing is installed mid-drain — revalidation decisions need the
-// full answer set (unanswered tuples degrade) — so streaming here buys
-// pipelined encode/transmit on the origin, not early unblocking. The
-// returned release frees the frames backing the item bytes; callers
-// invoke it after the apply. Failures wrapped in errTransient — a stalled
-// or torn stream, a frame corrupted in flight — are worth one more
-// attempt under the retry policy; anything else (a protocol violation, a
-// tripped incarnation fence) is terminal.
-func (rt *Runtime) recvValidateReply(x *streamExchange) (items []wire.ValidateItem, release func(), err error) {
-	var frames []wire.Message
-	release = func() {
-		for i := range frames {
-			frames[i].ReleaseFrame()
-		}
-	}
-	bad := func(e error) ([]wire.ValidateItem, func(), error) {
-		release()
-		x.abandon()
-		return nil, func() {}, e
-	}
-	asm := &chunkAssembler{xid: x.seq}
-	for {
-		m, err := x.next()
-		if err != nil {
-			if errors.Is(err, ErrClosed) {
-				return bad(err)
-			}
-			return bad(fmt.Errorf("%w: %w", errTransient, err))
-		}
-		frames = append(frames, m)
-		// A frame corrupted in flight is a retryable wire fault, and its
-		// Inc word is garbage — classify before fencing. Any other frame's
-		// Inc is trustworthy (the origin sealed it), so fence *before*
-		// interpreting an application error: a restarted origin answers a
-		// stale session's requests with errors, and the restart is the
-		// diagnosis, not the symptom.
-		if m.Err == checksumRejectErr {
-			return bad(fmt.Errorf("%w: %s", errTransient, m.Err))
-		}
-		if ferr := rt.fenceCheck(m.From, m.Inc); ferr != nil {
-			return bad(ferr)
-		}
-		if m.Err != "" {
-			return bad(fmt.Errorf("core: validate rejected by space %d: %s", m.From, m.Err))
-		}
-		if m.Kind == wire.KindValidateReply {
-			if len(frames) > 1 {
-				return bad(fmt.Errorf("core: monolithic validate reply inside a chunk stream"))
-			}
-			rp, err := wire.DecodeValidateReplyPayload(m.Payload)
-			if err != nil {
-				return bad(err)
-			}
-			return rp.Items, release, nil
-		}
-		if m.Kind != wire.KindFetchChunk {
-			return bad(fmt.Errorf("core: unexpected %v in validate stream", m.Kind))
-		}
-		cp, err := wire.DecodeFetchChunkPayload(m.Payload)
-		if err != nil {
-			return bad(err)
-		}
-		if !cp.Validate {
-			return bad(fmt.Errorf("core: fetch chunk in validate stream"))
-		}
-		if err := asm.accept(&cp); err != nil {
-			// Torn chunk sequence: a chunk was dropped, duplicated, or
-			// reordered in flight. Retryable.
-			return bad(fmt.Errorf("%w: %w", errTransient, err))
-		}
-		rt.trace(Event{Kind: EvChunkRecv, Target: m.From, Page: cp.Chunk, Count: len(cp.VItems)})
-		items = append(items, cp.VItems...)
-		if cp.Final {
-			return items, release, nil
-		}
-	}
 }
 
 // applyValidateReply installs the origin's per-tuple answers: tokens
@@ -523,7 +462,7 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 func (rt *Runtime) serveValidate(m wire.Message) {
 	p, err := wire.DecodeValidatePayload(m.Payload)
 	if err != nil {
-		rt.reply(m, wire.KindValidateReply, nil, fmt.Sprintf("decode: %v", err))
+		rt.reply(m, wire.KindValidateReply, nil, fmt.Errorf("decode: %w", err))
 		return
 	}
 	// Re-encoding reads the heap; hold the read side of the serve lock
@@ -538,12 +477,12 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 		em = &chunkEmitter{rt: rt, req: m, limit: rt.streamChunk, validate: true}
 	}
 	accBytes := 0
-	fail := func(errStr string) {
+	fail := func(err error) {
 		if em != nil && em.sent > 0 {
-			em.fail(errStr)
+			em.fail(err)
 			return
 		}
-		rt.reply(m, wire.KindValidateReply, nil, errStr)
+		rt.reply(m, wire.KindValidateReply, nil, err)
 	}
 	out := wire.ValidateReplyPayload{Items: make([]wire.ValidateItem, 0, len(p.Tuples))}
 	rt.warm.mu.Lock()
@@ -559,12 +498,12 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 	encHits, encMisses := 0, 0
 	for ti, t := range p.Tuples {
 		if t.LP.Space != rt.id {
-			fail(fmt.Sprintf("core: validate for datum %v not owned by space %d", t.LP, rt.id))
+			fail(fmt.Errorf("core: validate for datum %v not owned by space %d", t.LP, rt.id))
 			return
 		}
 		rv, err := rt.res.Resolve(t.LP.Type)
 		if err != nil {
-			fail(err.Error())
+			fail(err)
 			return
 		}
 		// A cache hit answers with the memoized bytes AND the memoized
@@ -579,7 +518,7 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 			enc := xdr.NewEncoder(rv.Canon)
 			pure, err := encodeObjectInto(enc, rt.space, rt.table, rt.res, rv.Desc, t.LP.Addr)
 			if err != nil {
-				fail(fmt.Sprintf("encode %v: %v", t.LP, err))
+				fail(fmt.Errorf("encode %v: %w", t.LP, err))
 				return
 			}
 			cur = enc.Bytes()
@@ -630,7 +569,7 @@ func (rt *Runtime) serveValidate(m wire.Message) {
 		_ = em.emit(nil, out.Items, true)
 		return
 	}
-	rt.reply(m, wire.KindValidateReply, out.Encode(), "")
+	rt.reply(m, wire.KindValidateReply, out.Encode(), nil)
 }
 
 // recordServed notes the canonical bytes just shipped to peer in a fetch

@@ -42,6 +42,21 @@ func FuzzFrameDecode(f *testing.F) {
 		f.Fatal(err)
 	}
 	f.Add(buf.Bytes())
+	// Replies with the optional trailing words: an incarnation alone, and
+	// an error code (which brings a zero incarnation word with it).
+	for _, tail := range []struct {
+		inc  uint32
+		code ErrCode
+	}{{7, CodeNone}, {0, CodeChecksumReject}, {3, CodeOriginRestarted}} {
+		m := &Message{Kind: KindReturn, Session: 1, Seq: 9, From: 2, To: 1, Err: "boom", Payload: []byte{}}
+		m.Inc, m.Code = tail.inc, tail.code
+		m.Seal()
+		buf.Reset()
+		if err := WriteFrame(&buf, m); err != nil {
+			f.Fatal(err)
+		}
+		f.Add(append([]byte(nil), buf.Bytes()...))
+	}
 	f.Add([]byte{0, 0, 0, 4, 0, 0, 0, 1})
 	f.Add([]byte{0xff, 0xff, 0xff, 0xff})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -62,7 +77,8 @@ func FuzzFrameDecode(f *testing.F) {
 		}
 		if m.Kind != m2.Kind || m.Session != m2.Session || m.Seq != m2.Seq ||
 			m.From != m2.From || m.To != m2.To || m.Proc != m2.Proc ||
-			m.Err != m2.Err || m.Sum != m2.Sum || !bytes.Equal(m.Payload, m2.Payload) {
+			m.Err != m2.Err || m.Sum != m2.Sum || m.Inc != m2.Inc || m.Code != m2.Code ||
+			!bytes.Equal(m.Payload, m2.Payload) {
 			t.Fatalf("round trip changed the message:\n%+v\n%+v", m, m2)
 		}
 	})

@@ -150,3 +150,121 @@ func TestIncarnationFrameIO(t *testing.T) {
 	}
 	got.ReleaseFrame()
 }
+
+// --- optional trailing error-code word ---
+
+func TestCodeZeroIsByteIdentical(t *testing.T) {
+	// A reply with Code zero must encode, size and checksum exactly as the
+	// format without the word did — with or without an incarnation.
+	for _, inc := range []uint32{0, 5} {
+		m := sampleMessage()
+		m.Inc = inc
+		m.Seal()
+		sum := m.Sum
+		enc := xdr.NewEncoder(64)
+		m.Encode(enc)
+		// Eight fixed words, the proc string (4+10+2), an empty err
+		// string (4) and the payload (4+5+3): the seed format.
+		want := 8*4 + 16 + 4 + 12
+		if inc != 0 {
+			want += 4
+		}
+		if enc.Len() != want || m.WireSize() != want {
+			t.Errorf("inc %d: encoded %d bytes (WireSize %d), want %d", inc, enc.Len(), m.WireSize(), want)
+		}
+		m.Code = CodeNone
+		if m.Checksum() != sum {
+			t.Errorf("inc %d: a zero code changed the checksum", inc)
+		}
+	}
+}
+
+func TestCodeRoundTrip(t *testing.T) {
+	// A nonzero code travels after the incarnation word, which is then
+	// present even when zero so the decoder can find the code.
+	for _, inc := range []uint32{0, 12345} {
+		for _, code := range []ErrCode{CodeChecksumReject, CodeOriginRestarted} {
+			m := sampleMessage()
+			m.Err = "boom"
+			m.Inc, m.Code = inc, code
+			m.Seal()
+			enc := xdr.NewEncoder(64)
+			m.Encode(enc)
+			if enc.Len() != m.WireSize() {
+				t.Errorf("inc %d code %d: encoded %d bytes, WireSize %d", inc, code, enc.Len(), m.WireSize())
+			}
+			plain := m
+			plain.Inc, plain.Code = 0, 0
+			if got, want := m.WireSize(), plain.WireSize()+8; got != want {
+				t.Errorf("inc %d code %d: WireSize %d, want %d (+8 for both trailing words)", inc, code, got, want)
+			}
+			got, err := Decode(xdr.NewDecoder(enc.Bytes()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Inc != inc || got.Code != code || got.Err != "boom" {
+				t.Errorf("decoded (inc %d, code %d, err %q), want (%d, %d, boom)", got.Inc, got.Code, got.Err, inc, code)
+			}
+			if !got.SumOK() {
+				t.Errorf("inc %d code %d: round-tripped frame fails checksum verification", inc, code)
+			}
+		}
+	}
+}
+
+func TestCodeOldFrameDecodesAsZero(t *testing.T) {
+	// Frames that end at Sum or at the incarnation word carry no code.
+	for _, inc := range []uint32{0, 9} {
+		m := sampleMessage()
+		m.Inc = inc
+		m.Seal()
+		enc := xdr.NewEncoder(64)
+		m.Encode(enc)
+		got, err := Decode(xdr.NewDecoder(enc.Bytes()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got.Code != CodeNone || got.Inc != inc || !got.SumOK() {
+			t.Errorf("inc %d: decoded code %d inc %d sumOK %v", inc, got.Code, got.Inc, got.SumOK())
+		}
+	}
+}
+
+func TestCodeCorruptionCaughtBySum(t *testing.T) {
+	m := sampleMessage()
+	m.Code = CodeOriginRestarted
+	m.Seal()
+	enc := xdr.NewEncoder(64)
+	m.Encode(enc)
+	raw := append([]byte(nil), enc.Bytes()...)
+	raw[len(raw)-1] ^= 0x03 // turn the restart code into a checksum reject
+	got, err := Decode(xdr.NewDecoder(raw))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Code != CodeChecksumReject {
+		t.Fatalf("flipped code decoded as %d", got.Code)
+	}
+	if got.SumOK() {
+		t.Error("corrupted code word passed checksum verification")
+	}
+}
+
+func TestCodeFrameIO(t *testing.T) {
+	m := sampleMessage()
+	m.Kind = KindFetchChunk
+	m.Code = CodeChecksumReject
+	m.Seal()
+	var buf bytes.Buffer
+	if err := WriteFrame(&buf, &m); err != nil {
+		t.Fatal(err)
+	}
+	got, err := ReadFrame(&buf)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.Code != CodeChecksumReject || got.Inc != 0 || !got.SumOK() {
+		t.Errorf("framed code: code %d inc %d sumOK %v", got.Code, got.Inc, got.SumOK())
+	}
+	got.ReleaseFrame()
+}

@@ -146,7 +146,7 @@ type Message struct {
 	From, To uint32
 	// Proc is the remote procedure name (Call only).
 	Proc string
-	// Err carries a remote error rendering (Return only; empty = ok).
+	// Err carries a remote error rendering (any reply; empty = ok).
 	Err string
 	// Payload is the kind-specific body, already XDR-encoded.
 	Payload []byte
@@ -159,16 +159,42 @@ type Message struct {
 	// replies so a client can detect that the origin crashed and
 	// restarted mid-session (its heap is fresh; any address the client
 	// still holds is resurrected garbage). Zero means "not stamped": the
-	// field is encoded as an optional trailing word only when nonzero,
-	// so frames from runtimes that never restarted — and all frames from
-	// older builds — stay byte-identical and decode Inc as zero.
+	// field is encoded as an optional trailing word only when nonzero
+	// (or when Code follows it), so frames from runtimes that never
+	// restarted — and all frames from older builds — stay byte-identical
+	// and decode Inc as zero.
 	Inc uint32
+	// Code types the error in Err for the two outcomes a requester must
+	// tell apart from application failures (see ErrCode). It travels as
+	// a second optional trailing word, after Inc, only when nonzero; a
+	// frame with Code zero encodes and checksums exactly as before the
+	// field existed, and frames that end earlier decode Code as zero.
+	Code ErrCode
 	// Frame, when non-nil, is the ref-counted pooled buffer Payload
 	// aliases (zero-copy chunk frames). It never travels on the wire; the
 	// final consumer calls ReleaseFrame after the last item decoded from
 	// Payload has been installed.
 	Frame *FrameBuf
 }
+
+// ErrCode is the typed classification of a reply's Err string. Errors
+// cross address spaces as text; the code is what a requester acts on, so
+// an application error whose text happens to match a runtime message is
+// never mistaken for it.
+type ErrCode uint32
+
+// Reply error codes.
+const (
+	// CodeNone marks an ordinary application error (or no error).
+	CodeNone ErrCode = iota
+	// CodeChecksumReject marks a frame that failed integrity
+	// verification: a transient wire fault worth a fresh attempt.
+	CodeChecksumReject
+	// CodeOriginRestarted marks an error caused by an incarnation fence
+	// trip, possibly several hops down the call chain: terminal, and
+	// re-typed as the restart sentinel at every hop.
+	CodeOriginRestarted
+)
 
 // FrameBuf is a ref-counted pooled buffer backing a zero-copy message
 // payload. Two variants share the type: send-side chunk buffers own an
@@ -272,8 +298,11 @@ func (m *Message) Checksum() uint32 {
 	for _, b := range m.Payload {
 		step(b)
 	}
-	if m.Inc != 0 {
+	if m.Inc != 0 || m.Code != 0 {
 		word(uint64(m.Inc), 4)
+	}
+	if m.Code != 0 {
+		word(uint64(m.Code), 4)
 	}
 	return h
 }
@@ -292,7 +321,10 @@ func (m *Message) WireSize() int {
 		4 + len(m.Proc) + pad4(len(m.Proc)) +
 		4 + len(m.Err) + pad4(len(m.Err)) +
 		4 + len(m.Payload) + pad4(len(m.Payload))
-	if m.Inc != 0 {
+	if m.Inc != 0 || m.Code != 0 {
+		n += 4
+	}
+	if m.Code != 0 {
 		n += 4
 	}
 	return n
@@ -311,8 +343,11 @@ func (m *Message) Encode(enc *xdr.Encoder) {
 	enc.PutString(m.Err)
 	enc.PutOpaque(m.Payload)
 	enc.PutUint32(m.Sum)
-	if m.Inc != 0 {
+	if m.Inc != 0 || m.Code != 0 {
 		enc.PutUint32(m.Inc)
+	}
+	if m.Code != 0 {
+		enc.PutUint32(uint32(m.Code))
 	}
 }
 
@@ -365,13 +400,21 @@ func decodeAlias(dec *xdr.Decoder) (Message, error) {
 	if m.Sum, err = dec.Uint32(); err != nil {
 		return m, fmt.Errorf("wire: sum: %w", err)
 	}
-	// Optional trailing incarnation word: frames from senders that never
-	// restarted (and frames from older builds) end at Sum and decode
-	// Inc as zero.
+	// Optional trailing incarnation and code words: frames from senders
+	// that never restarted (and frames from older builds) end at Sum and
+	// decode Inc as zero; frames without an error code end at Inc (or
+	// Sum) and decode Code as zero.
 	if dec.Remaining() >= 4 {
 		if m.Inc, err = dec.Uint32(); err != nil {
 			return m, fmt.Errorf("wire: inc: %w", err)
 		}
+	}
+	if dec.Remaining() >= 4 {
+		c, err := dec.Uint32()
+		if err != nil {
+			return m, fmt.Errorf("wire: code: %w", err)
+		}
+		m.Code = ErrCode(c)
 	}
 	return m, nil
 }
