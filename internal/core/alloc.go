@@ -122,6 +122,7 @@ func (rt *Runtime) ExtendedFree(v Value) error {
 	if err := rt.table.Remove(v.Addr); err != nil {
 		return err
 	}
+	rt.warm.dropView(lp)
 	rt.allocMu.Lock()
 	defer rt.allocMu.Unlock()
 	if uint32(lp.Addr) >= provisionalBase {
@@ -213,7 +214,9 @@ func (rt *Runtime) flushAllocBatches(sess uint64) error {
 				// poisoned its slot. Any later dereference through a local
 				// pointer still aimed at that slot is an application-level
 				// use-after-free — this event is the marker that explains
-				// the poison pattern it will read.
+				// the poison pattern it will read. The dead row's warm record
+				// goes with it.
+				rt.warm.dropView(real)
 				rt.trace(Event{Kind: EvRebindEvict, Target: origin, LP: real})
 			}
 		}

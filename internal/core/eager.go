@@ -72,7 +72,7 @@ func (rt *Runtime) budgetFor(origin uint32) int {
 // rows still say what was resident and vmem still says which pages the
 // session touched. Page-granular: an entry counts as hit if the first
 // page it occupies was accessed.
-func (rt *Runtime) recordEagerUsage(entries []swizzle.Entry) {
+func (rt *Runtime) recordEagerUsage() {
 	type sessionUse struct{ hits, waste uint64 }
 	perOrigin := make(map[uint32]*sessionUse)
 	rt.eager.mu.Lock()
@@ -80,20 +80,28 @@ func (rt *Runtime) recordEagerUsage(entries []swizzle.Entry) {
 	if rt.eager.usage == nil {
 		rt.eager.usage = make(map[eagerKey]*EagerUsage)
 	}
-	for _, e := range entries {
+	// A cache usually holds a handful of (origin, type) pairs over
+	// thousands of rows, so the counters of the last pair seen are kept
+	// at hand instead of two map lookups per row.
+	var (
+		last eagerKey
+		u    *EagerUsage
+		s    *sessionUse
+	)
+	rt.table.Each(func(e swizzle.Entry) {
 		if !e.Resident {
-			continue
+			return
 		}
-		k := eagerKey{Origin: e.LP.Space, Type: e.LP.Type}
-		u := rt.eager.usage[k]
-		if u == nil {
-			u = &EagerUsage{Origin: k.Origin, Type: k.Type}
-			rt.eager.usage[k] = u
-		}
-		s := perOrigin[k.Origin]
-		if s == nil {
-			s = &sessionUse{}
-			perOrigin[k.Origin] = s
+		if k := (eagerKey{Origin: e.LP.Space, Type: e.LP.Type}); u == nil || k != last {
+			last = k
+			if u = rt.eager.usage[k]; u == nil {
+				u = &EagerUsage{Origin: k.Origin, Type: k.Type}
+				rt.eager.usage[k] = u
+			}
+			if s = perOrigin[k.Origin]; s == nil {
+				s = &sessionUse{}
+				perOrigin[k.Origin] = s
+			}
 		}
 		if rt.space.Accessed(rt.space.PageOf(e.Addr)) {
 			u.Hits++
@@ -102,7 +110,7 @@ func (rt *Runtime) recordEagerUsage(entries []swizzle.Entry) {
 			u.Waste++
 			s.waste++
 		}
-	}
+	})
 	if !rt.adaptiveEager {
 		return
 	}

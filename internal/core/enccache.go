@@ -20,7 +20,7 @@ import (
 // Correctness rests on making a stale entry unreachable by construction,
 // not on hunting down every mutation site:
 //
-//   - Every heap page carries a write-version counter (vmem.HeapVersion)
+//   - Every heap page carries a write-version counter (vmem.PageVersion)
 //     advanced by every store, zero, or free touching the page. An entry
 //     records the versions of the pages its object spanned at encode
 //     time; a lookup revalidates them and drops the entry on mismatch.
@@ -60,10 +60,48 @@ const (
 
 // encPre is the page-version snapshot bracketing one encode: taken
 // before the object is read, re-checked when the result is published.
+// The warm cache (warmcache.go) takes the same snapshot over cache pages
+// to decide whether a recorded revalidation hash still describes them.
+// n == 0 is the empty snapshot, which is never current.
 type encPre struct {
 	firstPN uint32
 	n       int
 	vers    [encMaxSpanPages]uint32
+}
+
+// snapshotPages records the write versions of the pages an object at
+// [addr, addr+size) spans. ok is false, and the snapshot empty, when the
+// object spans more pages than the version vector holds.
+func snapshotPages(sp *vmem.Space, addr vmem.VAddr, size int) (pre encPre, ok bool) {
+	if size <= 0 {
+		return pre, false
+	}
+	first := sp.PageOf(addr)
+	last := sp.PageOf(addr + vmem.VAddr(size-1))
+	n := int(last-first) + 1
+	if n > encMaxSpanPages {
+		return pre, false
+	}
+	pre.firstPN = first
+	pre.n = n
+	for i := 0; i < n; i++ {
+		pre.vers[i] = sp.PageVersion(first + uint32(i))
+	}
+	return pre, true
+}
+
+// current reports whether the snapshot is non-empty and still matches
+// the live page versions.
+func (pre *encPre) current(sp *vmem.Space) bool {
+	if pre.n == 0 {
+		return false
+	}
+	for i := 0; i < pre.n; i++ {
+		if sp.PageVersion(pre.firstPN+uint32(i)) != pre.vers[i] {
+			return false
+		}
+	}
+	return true
 }
 
 // encEntry is one cached encoding. bytes is immutable once published;
@@ -75,21 +113,20 @@ type encEntry struct {
 	sum   uint64
 	bytes []byte
 	pre   encPre
-	idx   int  // position in the shard ring (ring[idx] is this entry's key)
 	ref   bool // CLOCK reference bit
 }
 
-// encShard is one stripe: a map for lookup plus a ring of keys the CLOCK
-// hand sweeps. The ring holds exactly the map's keys (removal
-// swap-deletes and patches the moved entry's idx), so it never
-// accumulates holes. Entries live in the map by value — publishing tens
-// of thousands of boxed entries during a large transfer made this the
-// second-largest allocation site of the serve path, and every mutation
-// site below is a single read-modify-write under the shard lock anyway.
+// encShard is one stripe. Entries live in the dense slab ents, which is
+// also the ring the CLOCK hand sweeps; m maps an object address to its
+// slot. Removal swap-deletes (the last entry moves into the hole and its
+// slot index is patched), so the slab never accumulates holes. Keeping
+// the ~100-byte entries out of the map means a publish inserts a 4-byte
+// value instead of growing and rehashing a table of large ones, and a
+// hit sets its reference bit in place.
 type encShard struct {
 	mu    sync.Mutex
-	m     map[vmem.VAddr]encEntry
-	ring  []vmem.VAddr
+	m     map[vmem.VAddr]int32
+	ents  []encEntry
 	hand  int
 	bytes int
 }
@@ -125,7 +162,7 @@ func newEncCache(space *vmem.Space, capBytes int) *encCache {
 	}
 	c := &encCache{space: space, perCap: perCap}
 	for i := range c.shards {
-		c.shards[i].m = make(map[vmem.VAddr]encEntry)
+		c.shards[i].m = make(map[vmem.VAddr]int32)
 	}
 	return c
 }
@@ -144,32 +181,10 @@ func (c *encCache) shardOf(addr vmem.VAddr) *encShard {
 // holds); the caller then encodes without consulting or feeding the
 // cache.
 func (c *encCache) prepare(addr vmem.VAddr, size int) (pre encPre, ok bool) {
-	if size <= 0 || !c.space.InHeap(addr) {
+	if !c.space.InHeap(addr) {
 		return pre, false
 	}
-	first := c.space.PageOf(addr)
-	last := c.space.PageOf(addr + vmem.VAddr(size-1))
-	n := int(last-first) + 1
-	if n > encMaxSpanPages {
-		return pre, false
-	}
-	pre.firstPN = first
-	pre.n = n
-	for i := 0; i < n; i++ {
-		pre.vers[i] = c.space.HeapVersion(first + uint32(i))
-	}
-	return pre, true
-}
-
-// current reports whether the snapshot still matches the live page
-// versions.
-func (c *encCache) current(pre encPre) bool {
-	for i := 0; i < pre.n; i++ {
-		if c.space.HeapVersion(pre.firstPN+uint32(i)) != pre.vers[i] {
-			return false
-		}
-	}
-	return true
+	return snapshotPages(c.space, addr, size)
 }
 
 // lookup returns the cached encoding for lp if one exists and its page
@@ -179,21 +194,21 @@ func (c *encCache) current(pre encPre) bool {
 func (c *encCache) lookup(lp wire.LongPtr) ([]byte, uint64, bool) {
 	s := c.shardOf(lp.Addr)
 	s.mu.Lock()
-	e, ok := s.m[lp.Addr]
-	if ok && (e.lp != lp || !c.current(e.pre)) {
-		c.dropLocked(s, lp.Addr, e)
-		c.invalidations.Add(1)
-		ok = false
+	i, ok := s.m[lp.Addr]
+	if ok {
+		if e := &s.ents[i]; e.lp != lp || !e.pre.current(c.space) {
+			c.dropLocked(s, i)
+			c.invalidations.Add(1)
+			ok = false
+		}
 	}
 	if !ok {
 		s.mu.Unlock()
 		c.misses.Add(1)
 		return nil, 0, false
 	}
-	if !e.ref {
-		e.ref = true
-		s.m[lp.Addr] = e
-	}
+	e := &s.ents[i]
+	e.ref = true
 	b, sum := e.bytes, e.sum
 	s.mu.Unlock()
 	c.hits.Add(1)
@@ -205,19 +220,20 @@ func (c *encCache) lookup(lp wire.LongPtr) ([]byte, uint64, bool) {
 // encode otherwise) and the body fits a shard's budget at all. evicted
 // is how many colder entries the CLOCK hand displaced to make room.
 func (c *encCache) publish(lp wire.LongPtr, pre encPre, sum uint64, b []byte) (published bool, evicted int) {
-	if len(b) > c.perCap || !c.current(pre) {
+	if len(b) > c.perCap || !pre.current(c.space) {
 		return false, 0
 	}
 	s := c.shardOf(lp.Addr)
 	s.mu.Lock()
-	if e, ok := s.m[lp.Addr]; ok {
-		// Replace in place; the key keeps its ring slot.
-		s.bytes -= len(e.bytes)
-		c.bytes.Add(-int64(len(e.bytes)))
-		s.m[lp.Addr] = encEntry{lp: lp, sum: sum, bytes: b, pre: pre, idx: e.idx}
+	if i, ok := s.m[lp.Addr]; ok {
+		// Replace in place; the entry keeps its slot.
+		old := len(s.ents[i].bytes)
+		s.bytes -= old
+		c.bytes.Add(-int64(old))
+		s.ents[i] = encEntry{lp: lp, sum: sum, bytes: b, pre: pre}
 	} else {
-		s.m[lp.Addr] = encEntry{lp: lp, sum: sum, bytes: b, pre: pre, idx: len(s.ring)}
-		s.ring = append(s.ring, lp.Addr)
+		s.m[lp.Addr] = int32(len(s.ents))
+		s.ents = append(s.ents, encEntry{lp: lp, sum: sum, bytes: b, pre: pre})
 	}
 	s.bytes += len(b)
 	c.bytes.Add(int64(len(b)))
@@ -231,39 +247,37 @@ func (c *encCache) publish(lp wire.LongPtr, pre encPre, sum uint64, b []byte) (p
 // unreferenced ones are evicted. Called with s.mu held.
 func (c *encCache) evictLocked(s *encShard) int {
 	n := 0
-	for s.bytes > c.perCap && len(s.ring) > 0 {
-		if s.hand >= len(s.ring) {
+	for s.bytes > c.perCap && len(s.ents) > 0 {
+		if s.hand >= len(s.ents) {
 			s.hand = 0
 		}
-		addr := s.ring[s.hand]
-		e := s.m[addr]
-		if e.ref {
+		if e := &s.ents[s.hand]; e.ref {
 			e.ref = false
-			s.m[addr] = e
 			s.hand++
 			continue
 		}
-		c.dropLocked(s, addr, e)
+		c.dropLocked(s, int32(s.hand))
 		c.evictions.Add(1)
 		n++
 	}
 	return n
 }
 
-// dropLocked removes one entry from the map and swap-deletes its ring
-// slot, patching the moved key's recorded index. Called with s.mu held.
-func (c *encCache) dropLocked(s *encShard, addr vmem.VAddr, e encEntry) {
-	delete(s.m, addr)
+// dropLocked removes the entry in slot i: the last entry moves into the
+// hole and its map slot is patched, and the vacated tail is cleared so
+// the slab does not pin the dropped bytes. Called with s.mu held.
+func (c *encCache) dropLocked(s *encShard, i int32) {
+	e := &s.ents[i]
+	delete(s.m, e.lp.Addr)
 	s.bytes -= len(e.bytes)
 	c.bytes.Add(-int64(len(e.bytes)))
-	last := len(s.ring) - 1
-	moved := s.ring[last]
-	s.ring[e.idx] = moved
-	s.ring = s.ring[:last]
-	if me, ok := s.m[moved]; ok {
-		me.idx = e.idx
-		s.m[moved] = me
+	last := int32(len(s.ents) - 1)
+	if i != last {
+		s.ents[i] = s.ents[last]
+		s.m[s.ents[i].lp.Addr] = i
 	}
+	s.ents[last] = encEntry{}
+	s.ents = s.ents[:last]
 }
 
 // invalidate proactively drops the entry for one heap object, reporting
@@ -274,9 +288,9 @@ func (c *encCache) dropLocked(s *encShard, addr vmem.VAddr, e encEntry) {
 func (c *encCache) invalidate(addr vmem.VAddr) bool {
 	s := c.shardOf(addr)
 	s.mu.Lock()
-	e, ok := s.m[addr]
+	i, ok := s.m[addr]
 	if ok {
-		c.dropLocked(s, addr, e)
+		c.dropLocked(s, i)
 	}
 	s.mu.Unlock()
 	if ok {
@@ -292,7 +306,8 @@ func (c *encCache) snapshot() []encSnapshot {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		for _, e := range s.m {
+		for k := range s.ents {
+			e := &s.ents[k]
 			out = append(out, encSnapshot{lp: e.lp, sum: e.sum, pre: e.pre})
 		}
 		s.mu.Unlock()
@@ -368,7 +383,7 @@ func (rt *Runtime) checkEncCacheInvariant() error {
 		return nil
 	}
 	for _, sn := range rt.enc.snapshot() {
-		if !rt.enc.current(sn.pre) {
+		if !sn.pre.current(rt.space) {
 			continue
 		}
 		rv, err := rt.res.Resolve(sn.lp.Type)

@@ -162,6 +162,95 @@ func TestEncCacheEviction(t *testing.T) {
 	if err := server.CheckLocalInvariants(); err != nil {
 		t.Fatal(err)
 	}
+	checkEncSlab(t, server.enc)
+
+	// A mix of every mutation the slab sees: publishes and CLOCK evictions
+	// (room for several entries per shard, so swap-deletes move real
+	// neighbours), proactive invalidations, and version-mismatch drops on
+	// lookup after the origin rewrites part of the chain.
+	server.enc = newEncCache(server.space, 16*256)
+	if _, err := chase(clients[0], head); err != nil {
+		t.Fatal(err)
+	}
+	var nodes []Value
+	for v, err := server.ImportPtr(head); !v.IsNullPtr(); {
+		if err != nil {
+			t.Fatal(err)
+		}
+		nodes = append(nodes, v)
+		ref, err := server.Deref(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if v, err = ref.Ptr("left", 0); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for i, v := range nodes {
+		if i%3 == 0 {
+			server.enc.invalidate(v.Addr)
+		}
+		if i%5 == 0 {
+			ref, err := server.Deref(v)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := ref.SetInt("data", 0, int64(1000+i)); err != nil {
+				t.Fatal(err)
+			}
+			want += int64(1000+i) - int64(i+1)
+		}
+	}
+	before := server.Stats()
+	for i, cl := range clients {
+		if sum, err := chase(cl, head); err != nil || sum != want {
+			t.Fatalf("client %d after the mix: sum = %d, %v; want %d", i, sum, err, want)
+		}
+	}
+	after := server.Stats()
+	if after.EncCacheEvictions == before.EncCacheEvictions {
+		t.Error("the mix evicted nothing")
+	}
+	if after.EncCacheInvalidations == before.EncCacheInvalidations {
+		t.Error("the mix dropped no version-stale entry on lookup")
+	}
+	if err := server.CheckLocalInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	checkEncSlab(t, server.enc)
+}
+
+// checkEncSlab verifies the encode cache's slab bookkeeping: every map
+// slot indexes the entry holding that address, map and slab have the
+// same size, and the shard and global byte totals agree with the
+// entries.
+func checkEncSlab(t *testing.T, c *encCache) {
+	t.Helper()
+	var total int64
+	for si := range c.shards {
+		s := &c.shards[si]
+		s.mu.Lock()
+		if len(s.m) != len(s.ents) {
+			t.Errorf("shard %d: %d map keys, %d slab entries", si, len(s.m), len(s.ents))
+		}
+		for addr, slot := range s.m {
+			if int(slot) >= len(s.ents) || s.ents[slot].lp.Addr != addr {
+				t.Errorf("shard %d: address %#x maps to slot %d, which does not hold it", si, uint32(addr), slot)
+			}
+		}
+		n := 0
+		for _, e := range s.ents {
+			n += len(e.bytes)
+		}
+		if n != s.bytes {
+			t.Errorf("shard %d: byte total %d, entries hold %d", si, s.bytes, n)
+		}
+		total += int64(s.bytes)
+		s.mu.Unlock()
+	}
+	if got := c.bytes.Load(); got != total {
+		t.Errorf("global byte total %d, shards hold %d", got, total)
+	}
 }
 
 // TestEncCacheDisabled: the ablation serves correctly and moves no cache

@@ -97,19 +97,17 @@ func (rt *Runtime) fenceCheck(peer uint32, inc uint32) error {
 		peer, old, inc, ErrOriginRestarted)
 }
 
-// fenceDemote strips the warm baselines held for a restarted origin:
-// its heap is fresh, so no offered hash can match and no delta base is
-// valid. The cached pages themselves are torn down by the session abort
-// the fence error forces.
+// fenceDemote strips the warm state of a restarted origin's stale data
+// — stale marks and recorded hashes: its heap is fresh, so no offered
+// hash can match and no delta base is valid. The cached pages themselves
+// are torn down by the session abort the fence error forces.
 func (rt *Runtime) fenceDemote(origin uint32) {
-	rt.warm.mu.Lock()
 	var lps []wire.LongPtr
-	for lp := range rt.warm.views {
-		if lp.Space == origin {
-			lps = append(lps, lp)
+	for _, e := range rt.table.Entries() {
+		if e.Stale && e.LP.Space == origin {
+			lps = append(lps, e.LP)
 		}
 	}
-	rt.warm.mu.Unlock()
 	rt.degradeLPs(lps)
 }
 

@@ -167,12 +167,12 @@ modScan:
 
 // CheckIdleInvariants verifies that this runtime's cache is fully torn
 // down: no resident data allocation table rows (stale warm-cache rows
-// may remain, but every page they span must still be protected and
-// their bytes must agree with the recorded revalidation baseline), no
-// dirty pages, no delta-shipping state, and no batched allocation work.
-// This is the state every space must reach after EndSession,
-// AbortSession, or a received end-of-session invalidation — whatever
-// faults occurred during the session.
+// may remain, but every page they span must still be protected, their
+// bytes must re-encode, and a recorded hash the next offer would reuse
+// must describe them), no dirty pages, no delta-shipping state, and no
+// batched allocation work. This is the state every space must reach
+// after EndSession, AbortSession, or a received end-of-session
+// invalidation — whatever faults occurred during the session.
 func (rt *Runtime) CheckIdleInvariants() error {
 	if err := rt.CheckLocalInvariants(); err != nil {
 		return err
@@ -191,12 +191,11 @@ func (rt *Runtime) CheckIdleInvariants() error {
 		if !rt.warmEnabled() {
 			return invariantErr(rt.id, "stale datum %v with the warm cache disabled", e.LP)
 		}
-		// Baseline consistency — the token-safety invariant: the bytes a
-		// later revalidation token would promote (the page contents, whose
-		// canonical encoding the offered hash describes) must be exactly
-		// what this space recorded at demotion. A divergence here means a
-		// token could resurrect data older than the origin's committed
-		// version.
+		// Hash consistency — the token-safety invariant: a recorded hash
+		// whose page-version snapshot is current is what the next offer
+		// sends without re-encoding, so it must be exactly the hash of the
+		// page bytes a token would promote. A divergence here means a token
+		// could resurrect data older than the origin's committed version.
 		rv, err := rt.res.Resolve(e.LP.Type)
 		if err != nil {
 			return invariantErr(rt.id, "stale datum %v has unresolvable type: %v", e.LP, err)
@@ -206,16 +205,10 @@ func (rt *Runtime) CheckIdleInvariants() error {
 			return invariantErr(rt.id, "re-encode stale datum %v: %v", e.LP, err)
 		}
 		rt.warm.mu.Lock()
-		v := rt.warm.views[e.LP]
+		v, ok := rt.warm.views[e.LP]
 		rt.warm.mu.Unlock()
-		if v == nil {
-			return invariantErr(rt.id, "stale datum %v has no revalidation baseline", e.LP)
-		}
-		if !bytes.Equal(v.bytes, enc) {
-			return invariantErr(rt.id, "stale datum %v: page bytes diverge from the revalidation baseline", e.LP)
-		}
-		if v.sum != wire.Sum64(v.bytes) {
-			return invariantErr(rt.id, "stale datum %v: baseline hash out of date", e.LP)
+		if ok && v.reusable(rt.space, e.Addr) && v.sum != wire.Sum64(enc) {
+			return invariantErr(rt.id, "stale datum %v: version-current revalidation hash diverges from the page bytes", e.LP)
 		}
 	}
 	if !rt.warmEnabled() {
@@ -349,12 +342,6 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			if !e.Stale {
 				continue
 			}
-			rt.warm.mu.Lock()
-			v := rt.warm.views[e.LP]
-			rt.warm.mu.Unlock()
-			if v == nil {
-				return invariantErr(rt.id, "stale datum %v has no revalidation baseline", e.LP)
-			}
 			origin := byID[e.LP.Space]
 			if origin == nil {
 				continue // origin outside the checked set
@@ -367,14 +354,33 @@ func CheckNetworkInvariants(ground *Runtime, all []*Runtime) error {
 			if err != nil {
 				continue // freed at origin; revalidation will degrade
 			}
-			// The warm baseline may legitimately lag the origin (that is
-			// what revalidation is for). What must NEVER hold is a token
-			// match — origin's current hash equal to the offered one —
-			// against differing bytes: that token would promote a copy
-			// older than the origin's committed version.
-			if wire.Sum64(cur) == v.sum && !bytes.Equal(cur, v.bytes) {
+			// The hash the next offer would carry: the recorded one while
+			// its snapshot is current, else a fresh re-encode's.
+			var held []byte
+			hrv, herr := rt.res.Resolve(e.LP.Type)
+			if herr == nil {
+				held, herr = encodeObject(rt.space, rt.table, rt.res, hrv.Desc, e.Addr)
+			}
+			rt.warm.mu.Lock()
+			v, ok := rt.warm.views[e.LP]
+			rt.warm.mu.Unlock()
+			var offer uint64
+			switch {
+			case ok && v.reusable(rt.space, e.Addr):
+				offer = v.sum
+			case herr == nil:
+				offer = wire.Sum64(held)
+			default:
+				continue // not offerable; the fetch path refetches it
+			}
+			// The cached copy may legitimately lag the origin (that is what
+			// revalidation is for). What must NEVER hold is a token match —
+			// origin's current hash equal to the offered one — against
+			// differing bytes: that token would promote a copy older than
+			// the origin's committed version.
+			if wire.Sum64(cur) == offer && (herr != nil || !bytes.Equal(cur, held)) {
 				return invariantErr(rt.id,
-					"warm baseline for %v would token-promote bytes differing from the origin's committed value", e.LP)
+					"warm copy of %v would token-promote bytes differing from the origin's committed value", e.LP)
 			}
 		}
 	}

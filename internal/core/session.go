@@ -184,23 +184,13 @@ func (rt *Runtime) EndSession() error {
 
 	// Local invalidation and session teardown. With the warm cache the
 	// invalidation is a demotion: bytes and table rows survive as stale
-	// copies revalidated on first use next session (warmcache.go). The
-	// dirty collection above already encoded every modified datum on this
-	// crossing; hand those bytes to the demotion so it does not encode the
-	// same objects a second time.
+	// copies revalidated on first use next session (warmcache.go).
 	if rt.skipLocalInvalidate {
 		// Test-only fault injection: leave the local cache readable across
 		// the session boundary so the history checker can prove it catches
 		// the resulting stale read. Never set outside tests.
 	} else if rt.warmEnabled() {
-		var preEnc map[wire.LongPtr][]byte
-		if len(dirty) > 0 {
-			preEnc = make(map[wire.LongPtr][]byte, len(dirty))
-			for _, it := range dirty {
-				preEnc[it.LP] = it.Bytes
-			}
-		}
-		rt.demoteWarm(preEnc)
+		rt.demoteWarm()
 	} else {
 		rt.space.InvalidateCache()
 		rt.table.Invalidate()
@@ -689,7 +679,7 @@ func (rt *Runtime) serveInvalidate(m wire.Message) {
 	rt.pfDrain()
 	rt.drainStreams()
 	if rt.warmEnabled() {
-		rt.demoteWarm(nil)
+		rt.demoteWarm()
 	} else {
 		rt.space.InvalidateCache()
 		rt.table.Invalidate()

@@ -1,13 +1,13 @@
 package core
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"slices"
 	"sync"
 
 	"smartrpc/internal/delta"
+	"smartrpc/internal/swizzle"
 	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 	"smartrpc/internal/xdr"
@@ -17,22 +17,26 @@ import (
 // (§3.4) discards every cached page at session end, so each new session
 // pays the full fault-and-fetch cost again even when the origin data never
 // changed. Here the end-of-session invalidation *demotes* instead: table
-// rows become stale (swizzle.Entry.Stale), page bytes survive under
-// ProtNone (vmem.DemoteCache), and this space records a revalidation
-// baseline per datum. The next session's first fault over a stale page
+// rows become stale (swizzle.Entry.Stale) and page bytes survive under
+// ProtNone (vmem.DemoteCache). Demotion does no per-datum work beyond
+// flipping those marks. The next session's first fault over a stale page
 // sends one batched Validate message carrying (pointer, version, content
 // hash) tuples for the faulting page plus the stale ride-alongs in its
 // closure neighborhood; the origin answers each tuple with a zero-byte
-// "still current" token, a range delta against the cached baseline
-// (internal/delta), or a full body — an unchanged working set costs one
-// small round trip instead of N full fetches.
+// "still current" token, a range delta against the bytes the client
+// holds (internal/delta), or a full body — an unchanged working set costs
+// one small round trip instead of N full fetches.
 //
-// Safety rests on two rules:
+// Safety rests on three rules:
 //
-//   - The client baseline is derived ONLY by re-encoding the page bytes at
-//     demote time, never from fetch- or coherency-path installs. Page and
-//     baseline therefore agree by construction, and they stay in agreement
-//     while the page sits under ProtNone.
+//   - The offered hash is derived ONLY by re-encoding the cached page
+//     bytes, never from fetch- or coherency-path installs, so it describes
+//     exactly the bytes a token would promote.
+//   - A recorded hash is reused without re-encoding only while the
+//     write-version snapshot of the cache pages it was computed from is
+//     current (vmem.PageVersion): every install, local store and hard
+//     invalidation of those pages moves a version. This is the encode
+//     cache's encPre rule, applied to cache pages.
 //   - The content hash, not the version counter, is authoritative for
 //     token decisions: the origin answers "still current" only when the
 //     hash of its *current* encoding equals the offered hash. A dropped or
@@ -40,35 +44,57 @@ import (
 //     promotes bytes differing from the origin's — the failure mode of
 //     version-lockstep schemes. Versions are carried for diagnostics.
 //
-// Any failure in the exchange degrades transparently: the affected entries
-// lose their stale mark and baseline and are refetched in full by the
-// ordinary fetch path. Correctness never depends on a warm baseline.
+// No encoded bytes are retained on the client: a delta reply is applied
+// to a fresh re-encode of the still-protected page, checked against the
+// offered hash. Any failure in the exchange degrades transparently: the
+// affected entries lose their stale mark and hash and are refetched in
+// full by the ordinary fetch path. Correctness never depends on warm
+// state.
 
-// warmView is this space's revalidation baseline for one stale datum: the
-// canonical encoding its cached page held at the last demotion, the hash
-// the origin compares against, and a demotion-generation counter.
+// warmView is this space's revalidation record for one stale datum: the
+// content hash of its cached page's canonical encoding when the datum was
+// last offered, a counter that moves whenever that hash changes, and the
+// write versions of the cache pages the encode read. While the snapshot
+// is current the hash still describes the page, and the next offer sends
+// it without re-encoding.
 type warmView struct {
-	ver   uint32
-	sum   uint64
-	bytes []byte
+	ver uint32
+	sum uint64
+	pre encPre
+}
+
+// reusable reports whether the recorded hash still describes the datum
+// at addr: the snapshot covers that address's pages and none of them has
+// been written since. Objects spanning more than encMaxSpanPages pages
+// carry no snapshot and always re-encode.
+func (v *warmView) reusable(sp *vmem.Space, addr vmem.VAddr) bool {
+	return v.pre.firstPN == sp.PageOf(addr) && v.pre.current(sp)
 }
 
 // warmCache is a runtime's cross-session warm state. views is the client
-// side: baselines for this space's own stale cached data. served is the
-// server side: per peer, the canonical bytes this space last shipped for
-// each of its own data — the delta base for Validate replies. Both
+// side: recorded hashes of the remote data this space caches. served is
+// the server side: per peer, the canonical bytes this space last shipped
+// for each of its own data — the delta base for Validate replies. Both
 // deliberately survive session teardown; served entries are only ever
 // used after an offered hash proves the peer still holds those bytes.
 type warmCache struct {
 	mu     sync.Mutex
-	views  map[wire.LongPtr]*warmView
+	views  map[wire.LongPtr]warmView
 	served map[uint32]map[wire.LongPtr][]byte
 }
 
-// clearViews drops every client baseline (hard invalidation paths).
+// clearViews drops every client record (hard invalidation paths).
 func (w *warmCache) clearViews() {
 	w.mu.Lock()
 	w.views = nil
+	w.mu.Unlock()
+}
+
+// dropView forgets one datum's record. The runtime calls it when the
+// datum's table row goes away, which keeps views bounded by table rows.
+func (w *warmCache) dropView(lp wire.LongPtr) {
+	w.mu.Lock()
+	delete(w.views, lp)
 	w.mu.Unlock()
 }
 
@@ -80,125 +106,24 @@ func (rt *Runtime) warmEnabled() bool {
 }
 
 // demoteWarm is the warm-cache replacement for the hard local
-// invalidation at session teardown: it records a revalidation baseline
-// for every resident entry by re-encoding its page bytes, feeds the
-// adaptive-eagerness accounting, then demotes the table rows and
-// re-protects the cache pages in place. If the cache is in a state no
-// trustworthy baseline can be built from (a provisional row surviving to
-// teardown, or an encode failure), it falls back to the hard
-// invalidation — losing warmth, never correctness.
-//
-// preEnc carries encodings the caller already produced on this same
-// crossing (EndSession's dirty-item collection), so a modified datum is
-// not encoded twice in one teardown. An entry may reuse its preEnc bytes
-// only while the pages it spans are still clean: collectDirtyItems
-// cleared the dirty bits right after encoding, so a clean span proves
-// the page bytes have not changed since, and page and baseline still
-// agree by construction. Everything else re-encodes here, all into one
-// shared arena (one allocation for the whole pass; the views alias it,
-// and they collectively retain essentially all of it).
-func (rt *Runtime) demoteWarm(preEnc map[wire.LongPtr][]byte) {
-	entries := rt.table.Entries()
-	rt.recordEagerUsage(entries)
-	type encoded struct {
-		lp wire.LongPtr
-		b  []byte
+// invalidation at session teardown: it feeds the adaptive-eagerness
+// accounting, then demotes the table rows and re-protects the cache pages
+// in place. It encodes nothing: a stale datum's hash is computed the
+// first time a later session offers it. A provisional row surviving to
+// teardown means the protocol already failed, so demotion falls back to
+// the hard invalidation — losing warmth, never correctness.
+func (rt *Runtime) demoteWarm() {
+	rt.recordEagerUsage()
+	provisional := false
+	rt.table.Each(func(e swizzle.Entry) {
+		provisional = provisional || uint32(e.LP.Addr) >= provisionalBase
+	})
+	if provisional {
+		rt.demoteFallback()
+		return
 	}
-	var dirtySet map[uint32]bool
-	if len(preEnc) > 0 {
-		if pages := rt.space.DirtyPages(); len(pages) > 0 {
-			dirtySet = make(map[uint32]bool, len(pages))
-			for _, pn := range pages {
-				dirtySet[pn] = true
-			}
-		}
-	}
-	encs := make([]encoded, 0, len(entries))
-	live := make(map[wire.LongPtr]bool, len(entries))
-	arena := xdr.NewEncoder(0)
-	var pend, offs []int // encs indexes and arena starts of this pass's encodes
-	for _, e := range entries {
-		if uint32(e.LP.Addr) >= provisionalBase {
-			// An unflushed provisional allocation at teardown means the
-			// protocol already failed; discard everything.
-			rt.demoteFallback()
-			return
-		}
-		if !e.Resident {
-			if e.Stale {
-				// Stale across consecutive sessions: the page was never
-				// touched (still ProtNone), so the recorded baseline is
-				// still exact.
-				live[e.LP] = true
-			}
-			continue
-		}
-		if b, ok := preEnc[e.LP]; ok && !rt.spanDirty(dirtySet, e.Addr, e.Size) {
-			live[e.LP] = true
-			encs = append(encs, encoded{lp: e.LP, b: b})
-			continue
-		}
-		rv, err := rt.res.Resolve(e.LP.Type)
-		if err != nil {
-			rt.demoteFallback()
-			return
-		}
-		pend = append(pend, len(encs))
-		offs = append(offs, arena.Len())
-		if _, err := encodeObjectInto(arena, rt.space, rt.table, rt.res, rv.Desc, e.Addr); err != nil {
-			rt.demoteFallback()
-			return
-		}
-		live[e.LP] = true
-		encs = append(encs, encoded{lp: e.LP})
-	}
-	backing := arena.Bytes()
-	for k, ei := range pend {
-		end := len(backing)
-		if k+1 < len(offs) {
-			end = offs[k+1]
-		}
-		encs[ei].b = backing[offs[k]:end]
-	}
-	rt.warm.mu.Lock()
-	if rt.warm.views == nil {
-		rt.warm.views = make(map[wire.LongPtr]*warmView, len(encs))
-	}
-	for _, en := range encs {
-		v := rt.warm.views[en.lp]
-		if v == nil {
-			rt.warm.views[en.lp] = &warmView{ver: 1, sum: wire.Sum64(en.b), bytes: en.b}
-		} else if !bytes.Equal(v.bytes, en.b) {
-			v.ver++
-			v.sum = wire.Sum64(en.b)
-			v.bytes = en.b
-		}
-	}
-	// Baselines for rows no longer in the table (freed data) are dead.
-	for lp := range rt.warm.views {
-		if !live[lp] {
-			delete(rt.warm.views, lp)
-		}
-	}
-	rt.warm.mu.Unlock()
 	rt.table.DemoteAll()
 	rt.space.DemoteCache()
-}
-
-// spanDirty reports whether any page of [addr, addr+size) is in the
-// dirty set (nil means no page is dirty).
-func (rt *Runtime) spanDirty(dirtySet map[uint32]bool, addr vmem.VAddr, size int) bool {
-	if len(dirtySet) == 0 {
-		return false
-	}
-	first := rt.space.PageOf(addr)
-	last := rt.space.PageOf(addr + vmem.VAddr(size-1))
-	for pn := first; pn <= last; pn++ {
-		if dirtySet[pn] {
-			return true
-		}
-	}
-	return false
 }
 
 // demoteFallback is the hard local invalidation demoteWarm retreats to.
@@ -209,26 +134,74 @@ func (rt *Runtime) demoteFallback() {
 }
 
 // validateTuplesFor builds the offer tuples for a set of stale long
-// pointers. Entries without a recorded baseline (there should be none,
-// but the degrade paths can leave one-sided state) are returned
+// pointers. A datum whose recorded hash is still reusable offers it as
+// is; any other is re-encoded from its protected page first. Entries
+// that cannot be offered (row gone, encode failure) are returned
 // separately so the caller can strip their stale marks.
 func (rt *Runtime) validateTuplesFor(lps []wire.LongPtr) (tuples []wire.ValidateTuple, without []wire.LongPtr) {
 	rt.warm.mu.Lock()
 	defer rt.warm.mu.Unlock()
+	if rt.warm.views == nil {
+		rt.warm.views = make(map[wire.LongPtr]warmView, len(lps))
+	}
 	tuples = make([]wire.ValidateTuple, 0, len(lps))
+	var enc *xdr.Encoder
 	for _, lp := range lps {
-		if v := rt.warm.views[lp]; v != nil {
-			tuples = append(tuples, wire.ValidateTuple{LP: lp, Ver: v.ver, Sum: v.sum})
-		} else {
+		addr, ok := rt.table.LookupLP(lp)
+		if !ok {
+			delete(rt.warm.views, lp)
 			without = append(without, lp)
+			continue
 		}
+		v, had := rt.warm.views[lp]
+		if !had || !v.reusable(rt.space, addr) {
+			if enc == nil {
+				enc = xdr.NewEncoder(0)
+			}
+			sum, pre, err := rt.hashCached(enc, lp, addr)
+			if err != nil {
+				delete(rt.warm.views, lp)
+				without = append(without, lp)
+				continue
+			}
+			if !had {
+				v.ver = 1
+			} else if v.sum != sum {
+				v.ver++
+			}
+			v.sum, v.pre = sum, pre
+			rt.warm.views[lp] = v
+		}
+		tuples = append(tuples, wire.ValidateTuple{LP: lp, Ver: v.ver, Sum: v.sum})
 	}
 	return tuples, without
 }
 
+// hashCached re-encodes the cached datum lp at addr into enc (reset
+// first) and returns the content hash with the page-version snapshot the
+// hash is valid under. The snapshot is taken before the encode and
+// emptied if a concurrent install moved it meanwhile, or if the object
+// spans too many pages; an empty snapshot is never reusable.
+func (rt *Runtime) hashCached(enc *xdr.Encoder, lp wire.LongPtr, addr vmem.VAddr) (uint64, encPre, error) {
+	rv, err := rt.res.Resolve(lp.Type)
+	if err != nil {
+		return 0, encPre{}, err
+	}
+	pre, _ := snapshotPages(rt.space, addr, rv.Layout.Size)
+	enc.Reset()
+	if _, err := encodeObjectInto(enc, rt.space, rt.table, rt.res, rv.Desc, addr); err != nil {
+		return 0, encPre{}, err
+	}
+	if !pre.current(rt.space) {
+		pre = encPre{}
+	}
+	return wire.Sum64(enc.Bytes()), pre, nil
+}
+
 // degradeStale strips the warm state of the given tuples — stale marks
-// and baselines — so the ordinary fetch path refetches them in full. It
-// is the client's answer to any failed or unusable Validate exchange.
+// and recorded hashes — so the ordinary fetch path refetches them in
+// full. It is the client's answer to any failed or unusable Validate
+// exchange.
 func (rt *Runtime) degradeStale(tuples []wire.ValidateTuple) {
 	lps := make([]wire.LongPtr, len(tuples))
 	for i, t := range tuples {
@@ -336,7 +309,7 @@ func (rt *Runtime) validateFrom(sess uint64, pn, origin uint32, lps []wire.LongP
 
 // applyValidateReply installs the origin's per-tuple answers: tokens
 // promote the stale entry in place (the page already holds the current
-// bytes), deltas patch the recorded baseline, full bodies install as a
+// bytes), deltas patch a re-encode of the page, full bodies install as a
 // fetch reply would. Every offered tuple ends the call either resident or
 // degraded to a plain want, so the fetch loop always makes progress.
 func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.ValidateItem) error {
@@ -344,16 +317,18 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 	// under the same serialization (see installItems).
 	rt.installMu.Lock()
 	defer rt.installMu.Unlock()
-	expect := make(map[wire.LongPtr]bool, len(tuples))
+	offered := make(map[wire.LongPtr]uint64, len(tuples))
 	for _, t := range tuples {
-		expect[t.LP] = true
+		offered[t.LP] = t.Sum
 	}
 	touched := make(map[uint32]bool)
+	var base *xdr.Encoder
 	for _, it := range items {
-		if !expect[it.LP] {
+		sum, ok := offered[it.LP]
+		if !ok {
 			continue // unsolicited; ignore
 		}
-		delete(expect, it.LP)
+		delete(offered, it.LP)
 		addr, ok := rt.table.LookupLP(it.LP)
 		if !ok {
 			continue // row vanished (freed meanwhile); nothing to promote
@@ -372,10 +347,14 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 		case wire.ValidateDelta, wire.ValidateFull:
 			var body []byte
 			if it.Form == wire.ValidateDelta {
-				rt.warm.mu.Lock()
-				v := rt.warm.views[it.LP]
-				rt.warm.mu.Unlock()
-				if v == nil {
+				// The delta is against the bytes the offered hash
+				// describes. The page is still protected, so a re-encode
+				// reproduces them — unless something moved under it, which
+				// the hash check catches.
+				if base == nil {
+					base = xdr.NewEncoder(0)
+				}
+				if got, _, err := rt.hashCached(base, it.LP, addr); err != nil || got != sum {
 					rt.degradeLPs([]wire.LongPtr{it.LP})
 					continue
 				}
@@ -384,7 +363,7 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 					rt.degradeLPs([]wire.LongPtr{it.LP})
 					continue
 				}
-				body, err = delta.Apply(v.bytes, runs)
+				body, err = delta.Apply(base.Bytes(), runs)
 				if err != nil {
 					rt.degradeLPs([]wire.LongPtr{it.LP})
 					continue
@@ -419,9 +398,9 @@ func (rt *Runtime) applyValidateReply(tuples []wire.ValidateTuple, items []wire.
 	}
 	// Tuples the origin failed to answer degrade — otherwise the fetch
 	// loop would re-offer them forever.
-	if len(expect) > 0 {
-		lps := make([]wire.LongPtr, 0, len(expect))
-		for lp := range expect {
+	if len(offered) > 0 {
+		lps := make([]wire.LongPtr, 0, len(offered))
+		for lp := range offered {
 			lps = append(lps, lp)
 		}
 		rt.degradeLPs(lps)

@@ -1,8 +1,10 @@
 package core
 
 import (
+	"runtime"
 	"testing"
 
+	"smartrpc/internal/vmem"
 	"smartrpc/internal/wire"
 )
 
@@ -296,5 +298,329 @@ func TestValidateWireRoundTrip(t *testing.T) {
 	}
 	if len(rr.Items) != 2 || rr.Items[0].Form != wire.ValidateCurrent || len(rr.Items[1].Bytes) != 4 {
 		t.Fatalf("reply round trip changed items: %+v", rr.Items)
+	}
+}
+
+// warmViewOf returns rt's revalidation record for lp and whether its hash
+// would be reused without re-encoding (its page-version snapshot is
+// current for the row's address).
+func warmViewOf(t *testing.T, rt *Runtime, lp wire.LongPtr) (v warmView, ok, reusable bool) {
+	t.Helper()
+	addr, found := rt.table.LookupLP(lp)
+	if !found {
+		t.Fatalf("no table row for %v", lp)
+	}
+	rt.warm.mu.Lock()
+	v, ok = rt.warm.views[lp]
+	rt.warm.mu.Unlock()
+	return v, ok, ok && v.reusable(rt.space, addr)
+}
+
+// TestWarmCarriedHashGetsDelta: a hash recorded when session 2
+// token-promoted the datum is carried, unchanged and without a
+// re-encode, into session 3; after the origin rewrites one field the
+// origin answers it with a range delta, which the client applies to a
+// re-encode of its protected page.
+func TestWarmCarriedHashGetsDelta(t *testing.T) {
+	caller, callee := warmPair(t, nil)
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, 1) // one node, data = 1
+	sessionCall(t, caller, 2, "sumTree", root)
+	sessionCall(t, caller, 2, "sumTree", root)
+	if s := callee.Stats(); s.CohRevalidateHits != 1 {
+		t.Fatalf("session 2 revalidate hits = %d, want 1", s.CohRevalidateHits)
+	}
+	v, ok, reusable := warmViewOf(t, callee, root.LP)
+	if !ok || !reusable {
+		t.Fatalf("after the token: record present=%v reusable=%v, want a carried hash", ok, reusable)
+	}
+
+	ref, err := caller.Deref(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := ref.SetInt("data", 0, 77); err != nil {
+		t.Fatal(err)
+	}
+	if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != 77 {
+		t.Fatalf("session 3 sum = %d, want 77", got)
+	}
+	s := callee.Stats()
+	if s.CohRevalidateMisses != 1 {
+		t.Fatalf("session 3 revalidate misses = %d, want 1", s.CohRevalidateMisses)
+	}
+	rv, err := callee.res.Resolve(nodeType)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if s.CohRevalidateBytes == 0 || s.CohRevalidateBytes >= uint64(rv.Canon) {
+		t.Errorf("changed node shipped %d bytes; want a delta below the %d-byte body", s.CohRevalidateBytes, rv.Canon)
+	}
+	// The delta install rewrote the page, so the carried hash is spent.
+	if after, _, reusable := warmViewOf(t, callee, root.LP); reusable || after.sum != v.sum {
+		t.Errorf("after the delta install: reusable=%v sum changed=%v; want a spent, unchanged record",
+			reusable, after.sum != v.sum)
+	}
+}
+
+// TestWarmClientWriteForcesReencode: a datum the client writes after its
+// hash was recorded must be re-encoded before the next offer. The stale
+// hash would draw a delta; the fresh one matches the written-back value
+// and draws a token.
+func TestWarmClientWriteForcesReencode(t *testing.T) {
+	caller, callee := warmPair(t, nil)
+	registerSumProc(t, callee)
+	err := callee.Register("bump", func(ctx *Ctx, args []Value) ([]Value, error) {
+		ref, err := ctx.Runtime().Deref(args[0])
+		if err != nil {
+			return nil, err
+		}
+		v, err := ref.Int("data", 0)
+		if err != nil {
+			return nil, err
+		}
+		return nil, ref.SetInt("data", 0, v+10)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	root := buildTree(t, caller, 1) // data = 1
+	sessionCall(t, caller, 2, "sumTree", root)
+	sessionCall(t, caller, 2, "bump", root) // token-promotes, then writes
+	if s := callee.Stats(); s.CohRevalidateHits != 1 {
+		t.Fatalf("session 2 revalidate hits = %d, want 1", s.CohRevalidateHits)
+	}
+	if _, ok, reusable := warmViewOf(t, callee, root.LP); !ok || reusable {
+		t.Fatalf("after the write: record present=%v reusable=%v, want a spent record", ok, reusable)
+	}
+	if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != 11 {
+		t.Fatalf("session 3 sum = %d, want 11", got)
+	}
+	if s := callee.Stats(); s.CohRevalidateHits != 2 || s.CohRevalidateMisses != 0 {
+		t.Errorf("session 3 revalidated hits=%d misses=%d, want 2/0 (fresh hash, token)",
+			s.CohRevalidateHits, s.CohRevalidateMisses)
+	}
+}
+
+// TestWarmNeighbourInstallForcesReencode: a delta install of one datum
+// moves the version of the cache page it shares with others, so their
+// hashes (recorded on the same offer, before the install) must be
+// re-encoded next time, and still match.
+func TestWarmNeighbourInstallForcesReencode(t *testing.T) {
+	caller, callee := warmPair(t, nil)
+	registerSumProc(t, callee)
+	root := buildTree(t, caller, 2) // root 1, left 2, right 3: one cache page
+	sessionCall(t, caller, 2, "sumTree", root)
+
+	ref, err := caller.Deref(root)
+	if err != nil {
+		t.Fatal(err)
+	}
+	left, err := ref.Ptr("left", 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	lref, err := caller.Deref(left)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := lref.SetInt("data", 0, 20); err != nil {
+		t.Fatal(err)
+	}
+	if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != 1+20+3 {
+		t.Fatalf("session 2 sum = %d, want %d", got, 1+20+3)
+	}
+	s := callee.Stats()
+	if s.CohRevalidateHits != 2 || s.CohRevalidateMisses != 1 {
+		t.Fatalf("session 2 revalidated hits=%d misses=%d, want 2/1", s.CohRevalidateHits, s.CohRevalidateMisses)
+	}
+	rootAddr, _ := callee.table.LookupLP(root.LP)
+	leftAddr, _ := callee.table.LookupLP(left.LP)
+	if callee.space.PageOf(rootAddr) != callee.space.PageOf(leftAddr) {
+		t.Fatal("root and left landed on different cache pages; the test needs them to share one")
+	}
+	before, ok, reusable := warmViewOf(t, callee, root.LP)
+	if !ok || reusable {
+		t.Fatalf("root after the neighbour's install: record present=%v reusable=%v, want a spent record", ok, reusable)
+	}
+
+	if got := sessionCall(t, caller, 2, "sumTree", root)[0].Int64(); got != 1+20+3 {
+		t.Fatalf("session 3 sum = %d, want %d", got, 1+20+3)
+	}
+	if s := callee.Stats(); s.CohRevalidateHits != 2+3 || s.CohRevalidateMisses != 1 {
+		t.Errorf("session 3 revalidated hits=%d misses=%d, want 5/1", s.CohRevalidateHits, s.CohRevalidateMisses)
+	}
+	after, _, reusable := warmViewOf(t, callee, root.LP)
+	if !reusable || after.sum != before.sum || after.ver != before.ver {
+		t.Errorf("root re-encoded to ver %d sum %#x reusable=%v; want ver %d sum %#x reusable",
+			after.ver, after.sum, reusable, before.ver, before.sum)
+	}
+}
+
+// TestWarmTeardownBounded pins the cost and the footprint of warm
+// teardown on a large cache. Ending a session must not do per-datum work
+// (demotion used to re-encode every resident datum into an arena), and
+// read-mostly warm sessions must not grow the heap: each recorded
+// baseline used to be a sub-slice of its demotion's arena, so one
+// surviving baseline pinned the whole arena, session after session.
+func TestWarmTeardownBounded(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts are not meaningful under the race detector")
+	}
+	caller, callee := pair(t, nil)
+	registerSumProc(t, callee)
+	const levels = 13 // 8191 nodes
+	root := buildTree(t, caller, levels)
+	err := callee.Register("path", func(ctx *Ctx, args []Value) ([]Value, error) {
+		sum, _, err := walkPath(ctx.Runtime(), args[0], args[1].Int64())
+		return []Value{Int64Value(sum)}, err
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	// testing.AllocsPerRun calls f once unmeasured, then once measured:
+	// the first call opens a session and reads the whole tree, the
+	// measured one only ends it (the callee demotes all 8191 rows).
+	calls := 0
+	allocs := testing.AllocsPerRun(1, func() {
+		if calls++; calls == 1 {
+			if err := caller.BeginSession(); err != nil {
+				t.Fatal(err)
+			}
+			res, err := caller.Call(2, "sumTree", []Value{root})
+			if err != nil || res[0].Int64() != wantSum(levels) {
+				t.Fatalf("sumTree = %v, %v; want %d", res, err, wantSum(levels))
+			}
+			return
+		}
+		if err := caller.EndSession(); err != nil {
+			t.Fatal(err)
+		}
+	})
+	if callee.table.Len() != 1<<levels-1 {
+		t.Fatalf("callee caches %d rows, want %d", callee.table.Len(), 1<<levels-1)
+	}
+	t.Logf("teardown of %d cached nodes: %.0f allocations", callee.table.Len(), allocs)
+	const maxTeardownAllocs = 100
+	if allocs > maxTeardownAllocs {
+		t.Errorf("ending a session over %d cached nodes allocated %.0f times, want <= %d",
+			callee.table.Len(), allocs, maxTeardownAllocs)
+	}
+
+	heap := func() uint64 {
+		var ms runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&ms)
+		return ms.HeapAlloc
+	}
+	// Each session reads one root-to-leaf path after the owner rewrote
+	// that path's leaf: a write the callee pays one delta for and never
+	// sees again.
+	session := func(i int) {
+		t.Helper()
+		key := int64(i*977) % (1 << (levels - 1))
+		_, leaf, err := walkPath(caller, root, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		ref, err := caller.Deref(leaf)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := ref.SetInt("data", 0, int64(-1-i)); err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := walkPath(caller, root, key)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := sessionCall(t, caller, 2, "path", root, Int64Value(key))[0].Int64(); got != want {
+			t.Fatalf("session %d: path sum = %d, want %d", i, got, want)
+		}
+		callee.warm.mu.Lock()
+		views := len(callee.warm.views)
+		callee.warm.mu.Unlock()
+		if rows := callee.table.Len(); views > rows {
+			t.Fatalf("session %d: %d warm records for %d table rows", i, views, rows)
+		}
+	}
+	// A first round records every path's hashes; the heap is measured
+	// from there.
+	for i := 0; i < 20; i++ {
+		session(i)
+	}
+	base := heap()
+	for i := 20; i < 220; i++ {
+		session(i)
+	}
+	const maxGrowth = 2 << 20
+	grew := int64(heap()) - int64(base)
+	t.Logf("heap growth over 200 warm sessions: %d bytes", grew)
+	if grew > maxGrowth {
+		t.Errorf("200 read-mostly warm sessions grew the heap by %d bytes, want <= %d", grew, maxGrowth)
+	}
+}
+
+// walkPath descends from v to a leaf, turning right where key has a one
+// bit (lowest bit first), and returns the sum of the data fields on the
+// way and the last node visited.
+func walkPath(rt *Runtime, v Value, key int64) (sum int64, last Value, err error) {
+	for !v.IsNullPtr() {
+		ref, err := rt.Deref(v)
+		if err != nil {
+			return 0, last, err
+		}
+		d, err := ref.Int("data", 0)
+		if err != nil {
+			return 0, last, err
+		}
+		sum += d
+		last = v
+		field := "left"
+		if key&1 == 1 {
+			field = "right"
+		}
+		key >>= 1
+		if v, err = ref.Ptr(field, 0); err != nil {
+			return 0, last, err
+		}
+	}
+	return sum, last, nil
+}
+
+// TestWarmViewReusableRule: a recorded hash is reusable only while every
+// cache page it was computed from keeps its write version, only at the
+// address it was computed for, and never for an object spanning more
+// pages than a snapshot holds.
+func TestWarmViewReusableRule(t *testing.T) {
+	sp, err := vmem.NewSpace(vmem.Config{PageSize: 256})
+	if err != nil {
+		t.Fatal(err)
+	}
+	base, err := sp.AllocCachePages(encMaxSpanPages + 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	narrow, ok := snapshotPages(sp, base+200, 100) // straddles pages 0 and 1
+	if !ok {
+		t.Fatal("a two-page object got no snapshot")
+	}
+	v := warmView{pre: narrow}
+	if !v.reusable(sp, base+200) {
+		t.Error("fresh snapshot not reusable")
+	}
+	if v.reusable(sp, base+256+8) {
+		t.Error("snapshot reusable for a datum at another address")
+	}
+	if err := sp.WriteRaw(base+256+100, []byte{1}); err != nil { // second page only
+		t.Fatal(err)
+	}
+	if v.reusable(sp, base+200) {
+		t.Error("snapshot still reusable after a write to a page it spans")
+	}
+	wide, ok := snapshotPages(sp, base, (encMaxSpanPages+1)*256)
+	if ok || (&warmView{pre: wide}).reusable(sp, base) {
+		t.Errorf("object over %d pages: snapshot ok=%v, want none and never reusable", encMaxSpanPages, ok)
 	}
 }

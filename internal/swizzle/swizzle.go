@@ -518,6 +518,18 @@ func (t *Table) Entries() []Entry {
 	return out
 }
 
+// Each calls fn on every table row, in no particular order, with the
+// table locked: fn must not call back into the table. It is the
+// copy-free alternative to Entries for scans that need no (page, offset)
+// order, such as session teardown over a large cache.
+func (t *Table) Each(fn func(e Entry)) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	for _, i := range t.byAddr {
+		fn(t.rows[i])
+	}
+}
+
 // Len returns the number of table rows.
 func (t *Table) Len() int {
 	t.mu.Lock()

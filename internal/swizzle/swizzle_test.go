@@ -394,6 +394,36 @@ func TestEntriesSorted(t *testing.T) {
 	}
 }
 
+// TestEachVisitsLiveRows: Each sees exactly the rows Entries lists, and
+// skips removed ones.
+func TestEachVisitsLiveRows(t *testing.T) {
+	tb, _ := newTable(t, PolicyPerOrigin)
+	var gone vmem.VAddr
+	for i := 0; i < 10; i++ {
+		a, _, err := tb.Swizzle(lp(remoteID, vmem.VAddr(0x100+i*16), 1))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if i == 4 {
+			gone = a
+		}
+	}
+	if err := tb.Remove(gone); err != nil {
+		t.Fatal(err)
+	}
+	seen := make(map[wire.LongPtr]bool)
+	tb.Each(func(e Entry) { seen[e.LP] = true })
+	es := tb.Entries()
+	if len(seen) != len(es) || len(es) != 9 {
+		t.Fatalf("Each saw %d rows, Entries lists %d, want 9", len(seen), len(es))
+	}
+	for _, e := range es {
+		if !seen[e.LP] {
+			t.Errorf("Each skipped %v", e.LP)
+		}
+	}
+}
+
 func TestUnknownTypeFails(t *testing.T) {
 	tb, _ := newTable(t, 0)
 	if _, _, err := tb.Swizzle(lp(remoteID, 0x100, 99)); err == nil {

@@ -156,19 +156,19 @@ type page struct {
 	prot     atomic.Int32
 	dirty    atomic.Bool   // cache page modified since install (coherency protocol)
 	accessed atomic.Bool   // cache page touched by a checked access since the last demotion
-	ver      atomic.Uint32 // heap page write version (see HeapVersion)
+	ver      atomic.Uint32 // page write version (see PageVersion)
 	cache    bool          // page lives in the cache region
 }
 
-// bumpVer advances a heap page's write-version counter. Called on every
-// store path before the bytes change, so a reader that validated against
-// the pre-bump version can only have observed strictly pre-write data.
-// Cache pages carry no version: their contents are governed by the
-// coherency protocol, not by local stores.
+// bumpVer advances a page's write-version counter. Called on every store
+// path before the bytes change, so a reader that validated against the
+// pre-bump version can only have observed strictly pre-write data. Heap
+// and cache pages count alike: a cache page's counter also moves on every
+// install into it (the runtime writes fetched data through WriteRaw) and
+// on InvalidateCache, so an unchanged counter proves the cached bytes
+// are the ones a snapshot was taken against.
 func (p *page) bumpVer() {
-	if !p.cache {
-		p.ver.Add(1)
-	}
+	p.ver.Add(1)
 }
 
 // markAccessed notes a checked (user-mode) access on a cache page for the
@@ -392,15 +392,17 @@ func (s *Space) Free(addr VAddr) error {
 	return nil
 }
 
-// HeapVersion returns the write-version counter of heap page pn. The
-// counter advances on every store, zero, or free that touches the page,
-// so equal versions across two reads prove the page bytes did not change
-// between them. Unmapped and cache-region pages report 0; a page cannot
-// transition out of either state while holding data anyone derived
-// values from, so 0==0 comparisons are sound too.
-func (s *Space) HeapVersion(pn uint32) uint32 {
+// PageVersion returns the write-version counter of page pn, heap or
+// cache. The counter advances on every store, zero, or free that touches
+// a heap page, and on every store, install, or InvalidateCache that
+// touches a cache page, so equal versions across two reads prove the
+// page bytes did not change between them. DemoteCache only re-protects
+// and leaves it alone. Unmapped pages report 0; a page cannot leave that
+// state while holding data anyone derived values from, so 0==0
+// comparisons are sound too.
+func (s *Space) PageVersion(pn uint32) uint32 {
 	p := s.lookup(pn)
-	if p == nil || p.cache {
+	if p == nil {
 		return 0
 	}
 	return p.ver.Load()
@@ -555,11 +557,11 @@ func (s *Space) DirtyPages() []uint32 {
 	return out
 }
 
-// InvalidateCache discards every cache page: data is zeroed, protection
-// returns to ProtNone, and dirty bits clear. This implements the
-// end-of-session invalidation multicast's effect on one space. The cache
-// address range stays reserved so stale ordinary pointers fault rather
-// than alias new data.
+// InvalidateCache discards every cache page: data is zeroed, write
+// versions advance, protection returns to ProtNone, and dirty bits
+// clear. This implements the end-of-session invalidation multicast's
+// effect on one space. The cache address range stays reserved so stale
+// ordinary pointers fault rather than alias new data.
 func (s *Space) InvalidateCache() {
 	if s.concurrent {
 		s.mu.Lock()
@@ -570,6 +572,7 @@ func (s *Space) InvalidateCache() {
 		if p == nil {
 			continue
 		}
+		p.bumpVer()
 		clear(p.data)
 		p.prot.Store(int32(ProtNone))
 		p.dirty.Store(false)
@@ -580,7 +583,8 @@ func (s *Space) InvalidateCache() {
 // DemoteCache re-protects every cache page without discarding its data:
 // protection returns to ProtNone so the next touch faults, while the page
 // bytes survive as the baseline for warm-cache revalidation. Dirty and
-// accessed bits clear. Compare InvalidateCache, which also zeroes the data.
+// accessed bits clear; write versions do not move, since no byte
+// changes. Compare InvalidateCache, which also zeroes the data.
 func (s *Space) DemoteCache() {
 	if s.concurrent {
 		s.mu.Lock()

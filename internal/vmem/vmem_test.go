@@ -398,6 +398,36 @@ func TestDirtyPagesAndInvalidate(t *testing.T) {
 	}
 }
 
+// TestCachePageVersions: cache pages carry write versions like heap
+// pages. Installs, checked stores and invalidation move them; demotion,
+// reads and stores to other pages do not.
+func TestCachePageVersions(t *testing.T) {
+	s := newSpace(t, Config{PageSize: 256})
+	base, err := s.AllocCachePages(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	pn := s.PageOf(base)
+	step := func(what string, moves bool, f func()) {
+		t.Helper()
+		before := s.PageVersion(pn)
+		f()
+		if got := s.PageVersion(pn) != before; got != moves {
+			t.Errorf("%s: version moved = %v, want %v", what, got, moves)
+		}
+	}
+	step("install", true, func() { _ = s.WriteRaw(base, []byte{1, 2, 3}) })
+	step("raw read", false, func() { _, _ = s.ReadUintRaw(base, 4) })
+	step("other page", false, func() { _ = s.WriteRaw(base+256, []byte{9}) })
+	step("release", false, func() { _ = s.SetProt(pn, ProtReadWrite) })
+	step("checked store", true, func() { _ = s.WriteUint(base, 4, 7) })
+	step("demote", false, s.DemoteCache)
+	step("invalidate", true, s.InvalidateCache)
+	if s.PageVersion(s.PageOf(base+1<<20)) != 0 {
+		t.Error("unmapped page reports a nonzero version")
+	}
+}
+
 func TestAllocCachePagesContiguous(t *testing.T) {
 	s := newSpace(t, Config{PageSize: 256})
 	a, err := s.AllocCachePages(4)
