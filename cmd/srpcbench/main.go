@@ -8,6 +8,7 @@
 //	srpcbench -exp fig6 -repeats 10
 //	srpcbench -exp table1
 //	srpcbench -exp ablations
+//	srpcbench -exp warm-sessions   # or pipeline, scaleout, concurrent, stream, recover
 //
 // Timing is virtual (deterministic), produced by the netsim cost model
 // calibrated to the paper's testbed: SPARCstation (28.5 MIPS) on 10 Mbps
@@ -19,6 +20,7 @@ import (
 	"flag"
 	"fmt"
 	"os"
+	"strings"
 	"time"
 
 	"smartrpc/internal/bench"
@@ -33,8 +35,9 @@ func main() {
 }
 
 func run(args []string) error {
+	tables := bench.Tables()
 	fs := flag.NewFlagSet("srpcbench", flag.ContinueOnError)
-	exp := fs.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|table1|ablations|warm|pipeline|scaleout|concurrent|stream|recover|all")
+	exp := fs.String("exp", "all", "experiment: fig4|fig5|fig6|fig7|table1|ablations|"+strings.Join(tables, "|")+"|all")
 	nodes := fs.Int("nodes", 32767, "tree size (2^k - 1 nodes)")
 	closure := fs.Int("closure", 8192, "closure size in bytes")
 	repeats := fs.Int("repeats", 10, "repeated searches for fig6")
@@ -68,24 +71,17 @@ func run(args []string) error {
 			return table1()
 		case "ablations":
 			return ablations(model)
-		case "warm":
-			return warm(model, *nodes, *closure)
-		case "pipeline":
-			return pipeline(model, *nodes, *closure)
-		case "scaleout":
-			return scaleout(model, *nodes, *closure)
-		case "concurrent":
-			return concurrent(*nodes, *closure)
-		case "stream":
-			return stream(model, *nodes)
-		case "recover":
-			return recoverExp(model, *closure)
-		default:
-			return fmt.Errorf("unknown experiment %q", name)
 		}
+		if err := bench.PrintTable(os.Stdout, name, model, *nodes, *closure, csv); err != nil {
+			return err
+		}
+		if name == "pipeline" && !csv {
+			return pipelineDemo(*nodes, *closure)
+		}
+		return nil
 	}
 	if *exp == "all" {
-		for _, name := range []string{"table1", "fig4", "fig5", "fig6", "fig7", "ablations", "warm", "pipeline", "scaleout", "concurrent", "stream", "recover"} {
+		for _, name := range append([]string{"table1", "fig4", "fig5", "fig6", "fig7", "ablations"}, tables...) {
 			if err := runOne(name); err != nil {
 				return err
 			}
@@ -99,9 +95,9 @@ func run(args []string) error {
 var csv bool
 
 // emitJSON runs the benchmark-regression suite and writes the report to
-// stdout. Redirect into a BENCH_<n>.json snapshot and diff snapshots to
-// catch regressions: modeled columns must match exactly, wall/allocation
-// columns within noise.
+// stdout. Redirect into a BENCH_<n>.json snapshot; `-check` then holds
+// later trees to its deterministic columns. The wall/allocation columns
+// are recorded for reading, not compared.
 func emitJSON(model netsim.Model, nodes, closure, runs int) error {
 	rep, err := bench.BuildReport(model, nodes, closure, runs)
 	if err != nil {
@@ -240,105 +236,11 @@ func fig7(model netsim.Model, nodes, closure int) error {
 	return nil
 }
 
-// warm prints the repeated-session workload: K back-to-back sessions
-// over the same pair of spaces, with a fraction of the tree mutated at
-// the origin between sessions. Session 1 is the cold start; the later
-// rows show what the warm cross-session cache actually re-ships.
-func warm(model netsim.Model, nodes, closure int) error {
-	const sessions = 4
-	if csv {
-		fmt.Println("warm.config,mutation_ratio,session,time_s,item_body_bytes,reval_hits,reval_misses,reval_bytes,messages,net_bytes")
-	} else {
-		fmt.Printf("\n== Warm cross-session cache: %d sessions, tree %d nodes, closure %d bytes ==\n",
-			sessions, nodes, closure)
-	}
-	for _, pt := range []struct {
-		name   string
-		ratio  float64
-		noWarm bool
-	}{
-		{"smart-warm", 0, false},
-		{"smart-warm", 0.05, false},
-		{"smart-warm", 0.25, false},
-		{"smart-coldstart", 0, true},
-	} {
-		res, err := bench.RunWarmSessions(bench.WarmConfig{
-			Nodes:            nodes,
-			ClosureSize:      closure,
-			Sessions:         sessions,
-			MutationRatio:    pt.ratio,
-			Model:            model,
-			DisableWarmCache: pt.noWarm,
-		})
-		if err != nil {
-			return err
-		}
-		if !csv {
-			fmt.Printf("\n-- %s, mutation ratio %.2f --\n", pt.name, pt.ratio)
-			fmt.Printf("%-9s %-10s %-16s %-11s %-13s %-12s %-10s %-12s\n",
-				"session", "time(s)", "item-body-bytes", "reval-hits", "reval-misses", "reval-bytes", "messages", "net-bytes")
-		}
-		cold := res.Sessions[0].ItemBodyBytes
-		for i, s := range res.Sessions {
-			if csv {
-				fmt.Printf("%s,%.2f,%d,%.6f,%d,%d,%d,%d,%d,%d\n",
-					pt.name, pt.ratio, i+1, sec(s.Time), s.ItemBodyBytes,
-					s.RevalidateHits, s.RevalidateMisses, s.RevalidateBytes, s.Messages, s.Bytes)
-				continue
-			}
-			note := ""
-			if i > 0 && cold > 0 {
-				note = fmt.Sprintf("  (%.1f%% of cold)", 100*float64(s.ItemBodyBytes)/float64(cold))
-			}
-			fmt.Printf("%-9d %-10.3f %-16d %-11d %-13d %-12d %-10d %-12d%s\n",
-				i+1, sec(s.Time), s.ItemBodyBytes, s.RevalidateHits, s.RevalidateMisses,
-				s.RevalidateBytes, s.Messages, s.Bytes, note)
-		}
-	}
-	return nil
-}
-
-// pipeline prints the asynchronous fetch pipeline workload: a pointer
-// chase built to defeat the eager closure (every shipment ends at a cold
-// page). The first block is the deterministic comparison (one client,
-// synchronous speculation) whose rows the BENCH_5 snapshot checks; the
-// second is a wall-clock demonstration on a real 1 ms link delay, where
-// asynchronous speculation physically overlaps fetch round trips with the
-// application's own chewing.
-func pipeline(model netsim.Model, nodes, closure int) error {
-	type pt struct {
-		name string
-		cfg  bench.PipelineConfig
-	}
-	det := []pt{
-		{"smart-demand", bench.PipelineConfig{ChainNodes: nodes, ClosureSize: closure, Model: model}},
-		{"smart-prefetch", bench.PipelineConfig{ChainNodes: nodes, ClosureSize: closure, Model: model,
-			Prefetch: true, SyncPrefetch: true}},
-	}
-	if csv {
-		fmt.Println("pipeline.config,time_s,messages,net_bytes,fetches,blocking_fetches,pf_issued,pf_hits,pf_wasted")
-	} else {
-		fmt.Printf("\n== Fetch pipeline: pointer chase, chain %d nodes, closure %d bytes ==\n", nodes, closure)
-		fmt.Printf("%-16s %-10s %-10s %-12s %-9s %-10s %-10s %-8s %-8s\n",
-			"config", "time(s)", "messages", "bytes", "fetches", "blocking", "pf-issued", "pf-hits", "pf-waste")
-	}
-	for _, p := range det {
-		res, err := bench.RunPipeline(p.cfg)
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Printf("%s,%.6f,%d,%d,%d,%d,%d,%d,%d\n", p.name, sec(res.Time), res.Messages,
-				res.Bytes, res.Fetches, res.BlockingFetches, res.PfIssued, res.PfHits, res.PfWasted)
-			continue
-		}
-		fmt.Printf("%-16s %-10.3f %-10d %-12d %-9d %-10d %-10d %-8d %-8d\n",
-			p.name, sec(res.Time), res.Messages, res.Bytes, res.Fetches,
-			res.BlockingFetches, res.PfIssued, res.PfHits, res.PfWasted)
-	}
-	if csv {
-		return nil
-	}
+// pipelineDemo is the wall-clock half of `-exp pipeline` (the table half
+// is the registry's pipeline family): on a real link delay, asynchronous
+// speculation physically overlaps fetch round trips with the
+// application's own chewing. Its timings are not report rows.
+func pipelineDemo(nodes, closure int) error {
 	// A 5 ms one-way delay (10 ms round trip) against ~13 ms of per-closure
 	// application think time: enough computation that asynchronous
 	// speculation can hide the round trips behind it, as real clients do.
@@ -353,223 +255,19 @@ func pipeline(model netsim.Model, nodes, closure int) error {
 		demoClients, demoNodes, demoDelay, demoThink, demoEvery)
 	fmt.Printf("%-16s %-12s %-9s %-10s %-10s %-10s\n",
 		"config", "wall(s)", "fetches", "blocking", "pf-issued", "coalesced")
-	for _, p := range []pt{
-		{"smart-demand", bench.PipelineConfig{ChainNodes: demoNodes, Clients: demoClients,
-			ClosureSize: closure, LinkDelay: demoDelay, Think: demoThink, ThinkEvery: demoEvery}},
-		{"smart-prefetch", bench.PipelineConfig{ChainNodes: demoNodes, Clients: demoClients,
+	for _, p := range []struct {
+		name     string
+		prefetch bool
+	}{{"smart-demand", false}, {"smart-prefetch", true}} {
+		res, err := bench.RunPipeline(bench.PipelineConfig{ChainNodes: demoNodes, Clients: demoClients,
 			ClosureSize: closure, LinkDelay: demoDelay, Think: demoThink, ThinkEvery: demoEvery,
-			Prefetch: true}},
-	} {
-		res, err := bench.RunPipeline(p.cfg)
+			Prefetch: p.prefetch})
 		if err != nil {
 			return err
 		}
 		fmt.Printf("%-16s %-12.3f %-9d %-10d %-10d %-10d\n",
 			p.name, res.WallTime.Seconds(), res.Fetches, res.BlockingFetches,
 			res.PfIssued, res.PfCoalesced)
-	}
-	return nil
-}
-
-// scaleout prints the multi-client origin-sharing workload: N client
-// spaces walk one shared tree over two rounds each. The client sweep
-// shows the encode cache amortizing the origin's marshaling across
-// clients, the mutation sweep shows invalidation eroding the hit rate,
-// and the ablation row is the re-encode-everything control.
-func scaleout(model netsim.Model, nodes, closure int) error {
-	if csv {
-		fmt.Println("scaleout.config,clients,mutation_ratio,time_s,messages,net_bytes,enc_hits,enc_misses,enc_evictions,enc_invalidations,enc_bytes")
-	} else {
-		fmt.Printf("\n== Scale-out: clients sharing one origin, tree %d nodes, closure %d bytes, 2 rounds ==\n",
-			nodes, closure)
-		fmt.Printf("%-18s %-8s %-7s %-10s %-10s %-12s %-9s %-9s %-8s %-8s %-10s\n",
-			"config", "clients", "ratio", "time(s)", "messages", "bytes",
-			"enc-hits", "enc-miss", "evict", "inval", "enc-bytes")
-	}
-	type pt struct {
-		name    string
-		clients int
-		ratio   float64
-		noEnc   bool
-	}
-	var pts []pt
-	for _, n := range []int{1, 2, 4, 8, 16} {
-		pts = append(pts, pt{"smart-enccache", n, 0, false})
-	}
-	for _, r := range []float64{0.05, 0.25} {
-		pts = append(pts, pt{"smart-enccache", 8, r, false})
-	}
-	pts = append(pts, pt{"smart-noenccache", 8, 0, true})
-	for _, p := range pts {
-		res, err := bench.RunScaleout(bench.ScaleoutConfig{
-			Nodes:              nodes,
-			ClosureSize:        closure,
-			Clients:            p.clients,
-			Rounds:             2,
-			MutationRatio:      p.ratio,
-			Model:              model,
-			DisableEncodeCache: p.noEnc,
-		})
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Printf("%s,%d,%.2f,%.6f,%d,%d,%d,%d,%d,%d,%d\n",
-				p.name, p.clients, p.ratio, sec(res.Time), res.Messages, res.Bytes,
-				res.EncHits, res.EncMisses, res.EncEvictions, res.EncInvalidations, res.EncBytes)
-			continue
-		}
-		fmt.Printf("%-18s %-8d %-7.2f %-10.3f %-10d %-12d %-9d %-9d %-8d %-8d %-10d\n",
-			p.name, p.clients, p.ratio, sec(res.Time), res.Messages, res.Bytes,
-			res.EncHits, res.EncMisses, res.EncEvictions, res.EncInvalidations, res.EncBytes)
-	}
-	return nil
-}
-
-// concurrent prints the overlapping-sessions workload: K client spaces
-// run sessions against one shared origin at the same time, and every
-// run's history is verified linearizable by internal/histcheck before
-// its numbers are printed. Traffic and wall time vary with the real
-// interleaving; the operation counts are seed-deterministic.
-func concurrent(nodes, closure int) error {
-	if csv {
-		fmt.Println("concurrent.clients,write_ratio,sessions,reads,writes,checked_ops,partitions,check_s,wall_s,messages,net_bytes")
-	} else {
-		fmt.Printf("\n== Concurrent sessions: clients sharing one origin, tree %d nodes, closure %d bytes ==\n",
-			nodes, closure)
-		fmt.Printf("   every row's history verified linearizable (internal/histcheck)\n")
-		fmt.Printf("%-8s %-7s %-9s %-7s %-7s %-9s %-11s %-9s %-9s %-10s %-12s\n",
-			"clients", "ratio", "sessions", "reads", "writes", "checked", "partitions", "check(s)", "wall(s)", "messages", "bytes")
-	}
-	for _, p := range []struct {
-		clients int
-		ratio   float64
-	}{
-		{2, 0.25},
-		{4, 0.25},
-		{8, 0},
-		{8, 0.05},
-		{8, 0.25},
-	} {
-		res, err := bench.RunConcurrent(bench.ConcurrentConfig{
-			Nodes:       nodes,
-			ClosureSize: closure,
-			Clients:     p.clients,
-			WriteRatio:  p.ratio,
-			Seed:        1,
-		})
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Printf("%d,%.2f,%d,%d,%d,%d,%d,%.6f,%.6f,%d,%d\n",
-				p.clients, p.ratio, res.Sessions, res.Reads, res.Writes,
-				res.CheckedOps, res.Partitions, sec(res.CheckTime), sec(res.Wall), res.Messages, res.Bytes)
-			continue
-		}
-		fmt.Printf("%-8d %-7.2f %-9d %-7d %-7d %-9d %-11d %-9.3f %-9.3f %-10d %-12d\n",
-			p.clients, p.ratio, res.Sessions, res.Reads, res.Writes,
-			res.CheckedOps, res.Partitions, sec(res.CheckTime), sec(res.Wall), res.Messages, res.Bytes)
-	}
-	return nil
-}
-
-// stream prints the streamed-transfer workload: one client faults on a
-// chain whose whole closure fits the (large) fetch budget, over a chunk
-// sweep plus the monolithic-reply ablation. The ttfa column is the
-// wall-clock latency of the faulting access itself — with streaming it
-// waits only for chunk 0; without it, for the entire reply.
-func stream(model netsim.Model, nodes int) error {
-	if csv {
-		fmt.Println("stream.config,chunk_bytes,ttfa_usec,wall_s,messages,net_bytes,chunks,fetches")
-	} else {
-		fmt.Printf("\n== Streamed transfer: chain %d nodes, one closure-sized FETCH ==\n", nodes)
-		fmt.Printf("%-18s %-12s %-12s %-10s %-10s %-12s %-8s %-8s\n",
-			"config", "chunk", "ttfa(us)", "wall(s)", "messages", "bytes", "chunks", "fetches")
-	}
-	for _, p := range []struct {
-		name  string
-		chunk int
-	}{
-		{"smart-stream-16k", 16 << 10},
-		{"smart-stream-64k", 64 << 10},
-		{"smart-stream-256k", 256 << 10},
-		{"smart-nostream", -1},
-	} {
-		res, err := bench.RunStream(bench.StreamConfig{
-			Nodes:            nodes,
-			StreamChunkBytes: p.chunk,
-			Model:            model,
-		})
-		if err != nil {
-			return err
-		}
-		chunk := "off"
-		if p.chunk > 0 {
-			chunk = fmt.Sprintf("%dK", p.chunk>>10)
-		}
-		if csv {
-			fmt.Printf("%s,%d,%d,%.6f,%d,%d,%d,%d\n",
-				p.name, p.chunk, res.TTFA.Microseconds(), res.WallTime.Seconds(),
-				res.Messages, res.Bytes, res.Chunks, res.Fetches)
-			continue
-		}
-		fmt.Printf("%-18s %-12s %-12d %-10.3f %-10d %-12d %-8d %-8d\n",
-			p.name, chunk, res.TTFA.Microseconds(), res.WallTime.Seconds(),
-			res.Messages, res.Bytes, res.Chunks, res.Fetches)
-	}
-	return nil
-}
-
-// recoverExp prints the transparent exchange-recovery workload: the
-// repeated-session caller/callee pair run through the chaos transport.
-// The first two rows are the zero-overhead control (identical fault-free
-// workload with recovery disarmed and armed — their traffic columns must
-// be byte-identical); the faulted rows show every session still
-// completing, with the retry/replay counters pricing the recovery.
-func recoverExp(model netsim.Model, closure int) error {
-	if csv {
-		fmt.Println("recover.config,model_s,messages,net_bytes,sessions,chaos_faults,retries,retry_ok,replays,stale_drops")
-	} else {
-		fmt.Printf("\n== Exchange recovery: 3 sessions under transient faults, tree 1023 nodes, closure %d bytes ==\n", closure)
-		fmt.Printf("   every row's per-session checksum verified against the mutation oracle\n")
-		fmt.Printf("%-22s %-10s %-10s %-12s %-10s %-8s %-9s %-10s %-9s %-11s\n",
-			"config", "model(s)", "messages", "bytes", "sessions", "chaos", "retries", "retry-ok", "replays", "stale-drops")
-	}
-	for _, p := range []struct {
-		name               string
-		drop, dup, corrupt int
-		disabled           bool
-	}{
-		{name: "smart-recover-off", disabled: true},
-		{name: "smart-recover-clean"},
-		{name: "smart-recover-drop", drop: 250},
-		{name: "smart-recover-dup", dup: 100},
-		{name: "smart-recover-corrupt", corrupt: 60},
-		{name: "smart-recover-mix", drop: 150, dup: 150, corrupt: 60},
-	} {
-		res, err := bench.RunRecover(bench.RecoverConfig{
-			ClosureSize:     closure,
-			MutationRatio:   0.05,
-			DropPermille:    p.drop,
-			DupPermille:     p.dup,
-			CorruptPermille: p.corrupt,
-			Seed:            1,
-			DisableRecovery: p.disabled,
-			Model:           model,
-		})
-		if err != nil {
-			return err
-		}
-		if csv {
-			fmt.Printf("%s,%.6f,%d,%d,%d,%d,%d,%d,%d,%d\n",
-				p.name, sec(res.Time), res.Messages, res.Bytes, res.Sessions,
-				res.ChaosFaults, res.Retries, res.RetrySuccesses, res.Replays, res.StaleDrops)
-			continue
-		}
-		fmt.Printf("%-22s %-10.3f %-10d %-12d %-10d %-8d %-9d %-10d %-9d %-11d\n",
-			p.name, sec(res.Time), res.Messages, res.Bytes, res.Sessions,
-			res.ChaosFaults, res.Retries, res.RetrySuccesses, res.Replays, res.StaleDrops)
 	}
 	return nil
 }

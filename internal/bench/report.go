@@ -2,22 +2,23 @@ package bench
 
 import (
 	"fmt"
+	"reflect"
 	"runtime"
 	"strings"
 	"time"
 
-	"smartrpc/internal/core"
 	"smartrpc/internal/netsim"
 )
 
 // Report is the machine-readable output of the benchmark-regression
 // harness (`srpcbench -json > BENCH_<n>.json`). Committed snapshots let a
 // later change be checked against an earlier one with nothing but two
-// files and a diff: modeled time and traffic must not move at all (the
-// cost model is deterministic), and wall time / allocations must not
-// regress beyond noise.
+// files: Check requires the deterministic columns (modeled time, traffic
+// and the protocol counters) to match exactly. Wall time and allocations
+// are recorded for people reading the snapshots; nothing compares them.
 type Report struct {
-	// Schema versions the report format.
+	// Schema versions the report format. It is informational: Check
+	// compares every snapshot the same way.
 	Schema int `json:"schema"`
 	// Model names the network cost model the modeled times assume.
 	Model string `json:"model"`
@@ -30,18 +31,17 @@ type Report struct {
 	Rows []ReportRow `json:"rows"`
 }
 
-// ReportRow is one benchmark point.
+// ReportRow is one benchmark point. A family leaves the columns it does
+// not produce at zero.
 type ReportRow struct {
-	// Figure tags the experiment family: fig4, fig6, fetch-batch,
-	// coh-delta, warm-sessions, pipeline, scaleout, concurrent, or
-	// stream.
+	// Figure tags the experiment family (a families entry).
 	Figure string `json:"figure"`
 	// Config identifies the point within the family.
 	Policy  string  `json:"policy"`
 	Ratio   float64 `json:"ratio"`
 	Closure int     `json:"closure_bytes"`
 	// Session numbers the rows of a repeated-session family (1 = cold
-	// start); zero for single-session families (schema 3).
+	// start); zero for single-session families.
 	Session int `json:"session,omitempty"`
 
 	// Deterministic outputs (must be identical between snapshots).
@@ -53,7 +53,7 @@ type ReportRow struct {
 	// Crossings counts boundary crossings of the thread of control
 	// (call + return messages); MsgsPerCrossing divides total messages
 	// by it. CohItemBytes and the item counters attribute bytes on the
-	// wire to the coherency path (schema 2).
+	// wire to the coherency path.
 	Crossings       uint64  `json:"crossings"`
 	MsgsPerCrossing float64 `json:"msgs_per_crossing"`
 	CohItemBytes    uint64  `json:"coh_item_bytes"`
@@ -63,15 +63,15 @@ type ReportRow struct {
 	// ItemBodyBytes is the combined per-session coherency/data item-body
 	// wire bytes (fetch bodies + coherency items + revalidation bodies,
 	// tokens = 0) and the CohRevalidate columns are the warm-cache
-	// revalidation outcomes (schema 3, warm-sessions rows only).
+	// revalidation outcomes (warm-sessions rows).
 	ItemBodyBytes       uint64 `json:"item_body_bytes,omitempty"`
 	CohRevalidateHits   uint64 `json:"coh_revalidate_hits,omitempty"`
 	CohRevalidateMisses uint64 `json:"coh_revalidate_misses,omitempty"`
 	CohRevalidateBytes  uint64 `json:"coh_revalidate_bytes,omitempty"`
-	// Fetch-pipeline columns (schema 4, pipeline rows only): Fetches is
-	// the total FETCH count, BlockingFetches the subset the application
-	// actually stalled on (total minus speculative), and the Pf columns
-	// are the speculative prefetcher's own accounting.
+	// Fetch-pipeline columns: Fetches is the total FETCH count,
+	// BlockingFetches the subset the application actually stalled on
+	// (total minus speculative), and the Pf columns are the speculative
+	// prefetcher's own accounting.
 	Fetches         uint64 `json:"fetches,omitempty"`
 	BlockingFetches uint64 `json:"blocking_fetches,omitempty"`
 	PfIssued        uint64 `json:"pf_issued,omitempty"`
@@ -79,581 +79,185 @@ type ReportRow struct {
 	PfHits          uint64 `json:"pf_hits,omitempty"`
 	PfWasted        uint64 `json:"pf_wasted,omitempty"`
 	PfBytes         uint64 `json:"pf_bytes,omitempty"`
-	// Scale-out columns (schema 5, scaleout rows only): Clients is the
-	// number of client spaces sharing the one origin, and the Enc columns
-	// are the origin-side encode cache's counters. EncBytes is a resident-
-	// size gauge recorded for the human-readable tables but not
-	// regression-checked (hits/misses/evictions/invalidations are).
+	// Scale-out columns: Clients is the number of client spaces sharing
+	// the one origin, and the Enc columns are the origin-side encode
+	// cache's counters. EncBytes is a resident-size gauge recorded for
+	// the tables but not compared.
 	Clients          int    `json:"clients,omitempty"`
 	EncHits          uint64 `json:"enc_hits,omitempty"`
 	EncMisses        uint64 `json:"enc_misses,omitempty"`
 	EncEvictions     uint64 `json:"enc_evictions,omitempty"`
 	EncInvalidations uint64 `json:"enc_invalidations,omitempty"`
 	EncBytes         uint64 `json:"enc_bytes,omitempty"`
-	// Concurrent columns (schema 6, concurrent rows only): committed
-	// sessions, the read/write split, and the linearizability checker's
-	// history size and per-object partition count — all functions of the
-	// per-client seed streams alone, so they are the only columns of a
-	// concurrent row that drift-checking compares (traffic and timing
-	// are interleaving-dependent under real concurrency). ConcCheckSec
-	// is the checker's wall time, host-dependent like WallSec.
+	// Concurrent columns: committed sessions, the read/write split, and
+	// the linearizability checker's history size and per-object
+	// partition count — all functions of the per-client seed streams
+	// alone. ConcCheckSec is the checker's wall time in the last run.
 	ConcSessions   uint64  `json:"conc_sessions,omitempty"`
 	ConcReads      uint64  `json:"conc_reads,omitempty"`
 	ConcWrites     uint64  `json:"conc_writes,omitempty"`
 	ConcCheckedOps uint64  `json:"conc_checked_ops,omitempty"`
 	ConcPartitions uint64  `json:"conc_partitions,omitempty"`
 	ConcCheckSec   float64 `json:"conc_check_sec,omitempty"`
-	// Streaming columns (schema 7, stream rows only): Chunks counts the
-	// KindFetchChunk frames on the wire — a pure function of the
-	// configuration, so it is drift-checked — and TTFAUsec is the
-	// wall-clock latency of the first faulting access in microseconds,
-	// host-dependent like WallSec and therefore reported but not
-	// compared.
+	// Streaming columns: Chunks counts the KindFetchChunk frames on the
+	// wire, and TTFAUsec is the wall-clock latency of the first faulting
+	// access in microseconds, averaged over the measured runs.
 	Chunks   uint64  `json:"chunks,omitempty"`
 	TTFAUsec float64 `json:"ttfa_usec,omitempty"`
-	// Recovery columns (schema 8, recover rows only): completed sessions,
-	// chaos faults injected, and the recovery machinery's totals. On the
-	// fault-free rows every recovery counter must be zero (that is the
-	// zero-overhead claim) and all modeled columns are drift-checked; on
-	// the faulted rows retries race real-time deadlines, so only
-	// rec_sessions — completion itself — is compared.
+	// Recovery columns: completed sessions, chaos faults injected, and
+	// the recovery machinery's totals. On the fault-free rows every
+	// recovery counter must be zero (the zero-overhead claim).
 	RecSessions   uint64 `json:"rec_sessions,omitempty"`
 	RecFaults     uint64 `json:"rec_faults,omitempty"`
 	RecRetries    uint64 `json:"rec_retries,omitempty"`
 	RecReplays    uint64 `json:"rec_replays,omitempty"`
 	RecStaleDrops uint64 `json:"rec_stale_drops,omitempty"`
 
-	// Host-dependent outputs (regression-checked with slack).
+	// Host-dependent outputs, averaged per operation over the measured
+	// runs. Reported only: Check never compares them.
 	WallSec         float64 `json:"wall_sec"`
 	AllocsPerOp     uint64  `json:"allocs_per_op"`
 	AllocBytesPerOp uint64  `json:"alloc_bytes_per_op"`
 }
 
-// reportPoint is one configuration the report measures.
-type reportPoint struct {
-	figure  string
-	policy  core.Policy
-	name    string
-	ratio   float64
-	clos    int
-	noBat   bool
-	update  bool
-	repeats int
-	noDelta bool
+// colField maps each ReportRow JSON column name to its struct field.
+var colField = func() map[string]int {
+	t := reflect.TypeOf(ReportRow{})
+	m := make(map[string]int, t.NumField())
+	for i := 0; i < t.NumField(); i++ {
+		name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ",")
+		m[name] = i
+	}
+	return m
+}()
+
+// col returns the row's value in the named JSON column.
+func (r ReportRow) col(name string) reflect.Value {
+	i, ok := colField[name]
+	if !ok {
+		panic("bench: no report column " + name)
+	}
+	return reflect.ValueOf(r).Field(i)
 }
 
-// BuildReport runs the regression suite and returns the filled report.
-// Each point runs once to warm caches, then `runs` measured times; wall
-// time and allocation counts are averaged, while the modeled outputs are
-// taken from the last run (they are identical across runs by
-// construction).
+// num returns a numeric column as a float64, the unit Check compares in.
+func (r ReportRow) num(name string) float64 {
+	switch v := r.col(name); v.Kind() {
+	case reflect.Float64:
+		return v.Float()
+	case reflect.Int:
+		return float64(v.Int())
+	default:
+		return float64(v.Uint())
+	}
+}
+
+// cell formats a column for the -exp tables.
+func (r ReportRow) cell(name string) string {
+	switch v := r.col(name); v.Kind() {
+	case reflect.String:
+		return v.String()
+	case reflect.Float64:
+		return fmt.Sprintf("%.6g", v.Float())
+	default:
+		return fmt.Sprint(v.Interface())
+	}
+}
+
+// uncompared are the columns Check never compares: the row key (matched,
+// not compared), the host-dependent measurements and the encode cache's
+// resident-size gauge.
+var uncompared = map[string]bool{
+	"figure": true, "policy": true, "ratio": true, "closure_bytes": true, "session": true, "clients": true,
+	"wall_sec": true, "allocs_per_op": true, "alloc_bytes_per_op": true, "ttfa_usec": true, "conc_check_sec": true,
+	"enc_bytes": true,
+}
+
+// comparedCols is every other column, in ReportRow order. A new column
+// is compared unless it is listed in uncompared.
+var comparedCols = func() []string {
+	var cols []string
+	t := reflect.TypeOf(ReportRow{})
+	for i := 0; i < t.NumField(); i++ {
+		if name, _, _ := strings.Cut(t.Field(i).Tag.Get("json"), ","); !uncompared[name] {
+			cols = append(cols, name)
+		}
+	}
+	return cols
+}()
+
+// BuildReport runs every point of every family and returns the filled
+// report.
 func BuildReport(model netsim.Model, nodes, closure, runs int) (Report, error) {
 	if runs < 1 {
 		runs = 1
 	}
+	e := env{model: model, nodes: nodes, closure: closure}
 	rep := Report{Schema: 8, Model: "ethernet10-sparc", Nodes: nodes, Closure: closure, Runs: runs}
-
-	var points []reportPoint
-	for _, pol := range []struct {
-		p core.Policy
-		n string
-	}{{core.PolicyEager, "eager"}, {core.PolicyLazy, "lazy"}, {core.PolicySmart, "smart"}} {
-		for _, ratio := range []float64{0, 0.25, 0.5, 0.75, 1.0} {
-			points = append(points, reportPoint{
-				figure: "fig4", policy: pol.p, name: pol.n, ratio: ratio, clos: closure,
-			})
-		}
-	}
-	for _, cs := range DefaultClosureSizes {
-		points = append(points, reportPoint{
-			figure: "fig6", policy: core.PolicySmart, name: "smart", ratio: 1.0, clos: cs,
-		})
-	}
-	// The multi-want FETCH protocol against its single-want ablation: the
-	// message counts quantify the batching win.
-	for _, ratio := range []float64{0.5, 1.0} {
-		for _, noBat := range []bool{false, true} {
-			name := "smart"
-			if noBat {
-				name = "smart-nobatch"
+	for i := range families {
+		f := &families[i]
+		for _, p := range f.points {
+			rows, err := measure(f, e, p, runs)
+			if err != nil {
+				return Report{}, err
 			}
-			points = append(points, reportPoint{
-				figure: "fetch-batch", policy: core.PolicySmart, name: name,
-				ratio: ratio, clos: closure, noBat: noBat,
-			})
+			rep.Rows = append(rep.Rows, rows...)
 		}
-	}
-	// Delta shipping against its full-shipping ablation on the repeated
-	// update workload: the coh_item_bytes column quantifies the win.
-	for _, ratio := range []float64{0.5, 1.0} {
-		for _, noDelta := range []bool{false, true} {
-			name := "smart-delta"
-			if noDelta {
-				name = "smart-fullship"
-			}
-			points = append(points, reportPoint{
-				figure: "coh-delta", policy: core.PolicySmart, name: name,
-				ratio: ratio, clos: closure, update: true, repeats: 8, noDelta: noDelta,
-			})
-		}
-	}
-
-	for _, pt := range points {
-		row, err := measurePoint(model, nodes, runs, pt)
-		if err != nil {
-			return Report{}, fmt.Errorf("report %s/%s/%.2f: %w", pt.figure, pt.name, pt.ratio, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	// The repeated-session family (schema 3): per-session traffic of the
-	// warm cross-session cache over a mutation-ratio sweep, with the
-	// discard-on-invalidate ablation at ratio 0 as the control.
-	warmPoints := []struct {
-		name   string
-		ratio  float64
-		noWarm bool
-	}{
-		{"smart-warm", 0, false},
-		{"smart-warm", 0.05, false},
-		{"smart-warm", 0.25, false},
-		{"smart-coldstart", 0, true},
-	}
-	for _, wp := range warmPoints {
-		rows, err := measureWarmPoint(model, nodes, closure, runs, wp.name, wp.ratio, wp.noWarm)
-		if err != nil {
-			return Report{}, fmt.Errorf("report warm-sessions/%s/%.2f: %w", wp.name, wp.ratio, err)
-		}
-		rep.Rows = append(rep.Rows, rows...)
-	}
-
-	// The fetch-pipeline family (schema 4): the pointer-chase workload with
-	// the speculative prefetcher off (the demand baseline) and on. One
-	// client with synchronous speculation keeps every modeled column —
-	// including the prefetch counters — deterministic.
-	for _, pp := range []struct {
-		name     string
-		prefetch bool
-	}{
-		{"smart-demand", false},
-		{"smart-prefetch", true},
-	} {
-		row, err := measurePipelinePoint(model, nodes, closure, runs, pp.name, pp.prefetch)
-		if err != nil {
-			return Report{}, fmt.Errorf("report pipeline/%s: %w", pp.name, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	// The scale-out family (schema 5): N clients sharing one origin, with
-	// the encode cache on (client sweep at ratio 0, mutation sweep at 8
-	// clients) and the re-encode-everything ablation as the control.
-	for _, sp := range []struct {
-		name    string
-		clients int
-		ratio   float64
-		noEnc   bool
-	}{
-		{"smart-enccache", 1, 0, false},
-		{"smart-enccache", 4, 0, false},
-		{"smart-enccache", 8, 0, false},
-		{"smart-enccache", 8, 0.05, false},
-		{"smart-enccache", 8, 0.25, false},
-		{"smart-noenccache", 8, 0, true},
-	} {
-		row, err := measureScaleoutPoint(model, nodes, closure, runs, sp.name, sp.clients, sp.ratio, sp.noEnc)
-		if err != nil {
-			return Report{}, fmt.Errorf("report scaleout/%s/%d: %w", sp.name, sp.clients, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	// The concurrent family (schema 6): K clients holding truly
-	// overlapping sessions over one shared origin, every run verified
-	// linearizable by internal/histcheck. Only the seed-deterministic
-	// operation counts are drift-checked.
-	for _, cp := range []struct {
-		clients int
-		ratio   float64
-	}{
-		{2, 0.25},
-		{4, 0.25},
-		{8, 0},
-		{8, 0.05},
-		{8, 0.25},
-	} {
-		row, err := measureConcurrentPoint(nodes, closure, runs, cp.clients, cp.ratio)
-		if err != nil {
-			return Report{}, fmt.Errorf("report concurrent/%d/%.2f: %w", cp.clients, cp.ratio, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	// The stream family (schema 7): one huge closure shipped to a single
-	// client, over a chunk-size sweep plus the monolithic-reply ablation.
-	// The chunk count is deterministic and drift-checked; the
-	// time-to-first-access column is the wall-clock payoff.
-	for _, sp := range []struct {
-		name  string
-		chunk int
-	}{
-		{"smart-stream-16k", 16 << 10},
-		{"smart-stream-64k", 64 << 10},
-		{"smart-stream-256k", 256 << 10},
-		{"smart-nostream", -1},
-	} {
-		row, err := measureStreamPoint(model, nodes, runs, sp.name, sp.chunk)
-		if err != nil {
-			return Report{}, fmt.Errorf("report stream/%s: %w", sp.name, err)
-		}
-		rep.Rows = append(rep.Rows, row)
-	}
-
-	// The recover family (schema 8): the zero-overhead pair first — the
-	// identical fault-free workload with recovery disarmed and armed,
-	// whose wire columns must be byte-identical — then a transient-fault
-	// sweep where completion (rec_sessions) is the deterministic claim
-	// and the retry/replay counters are the reported price.
-	for _, rp := range []struct {
-		name               string
-		drop, dup, corrupt int
-		disabled           bool
-	}{
-		{name: "smart-recover-off", disabled: true},
-		{name: "smart-recover-clean"},
-		{name: "smart-recover-drop", drop: 250},
-		{name: "smart-recover-dup", dup: 100},
-		{name: "smart-recover-corrupt", corrupt: 60},
-		{name: "smart-recover-mix", drop: 150, dup: 150, corrupt: 60},
-	} {
-		row, err := measureRecoverPoint(model, closure, runs, rp.name, rp.drop, rp.dup, rp.corrupt, rp.disabled)
-		if err != nil {
-			return Report{}, fmt.Errorf("report recover/%s: %w", rp.name, err)
-		}
-		rep.Rows = append(rep.Rows, row)
 	}
 	return rep, nil
 }
 
-// measureRecoverPoint runs one exchange-recovery configuration and fills
-// a recover row. The tree is kept small (the faulted points pay a real
-// CallTimeout per absorbed fault, so the row has to stay affordable) and
-// fixed independent of the report's Nodes setting so the chaos schedule
-// is stable.
-func measureRecoverPoint(model netsim.Model, closure, runs int, name string, drop, dup, corrupt int, disabled bool) (ReportRow, error) {
-	cfg := RecoverConfig{
-		Nodes:           1023,
-		ClosureSize:     closure,
-		Sessions:        3,
-		MutationRatio:   0.05,
-		DropPermille:    drop,
-		DupPermille:     dup,
-		CorruptPermille: corrupt,
-		Seed:            1,
-		DisableRecovery: disabled,
-		Model:           model,
+// measure runs one point: once to warm caches (first-use initialization
+// such as layout caches and pools is not charged), then `runs` measured
+// times. The deterministic columns come from the last run (identical
+// across runs by construction). Wall time and allocations are averaged
+// over the runs and over the rows one run yields; ttfa_usec is averaged
+// over the runs.
+func measure(f *family, e env, p point, runs int) ([]ReportRow, error) {
+	fail := func(err error) ([]ReportRow, error) {
+		return nil, fmt.Errorf("report %s/%s/%.2f: %w", f.figure, p.name, p.ratio, err)
 	}
-	if _, err := RunRecover(cfg); err != nil { // warm-up
-		return ReportRow{}, err
+	if _, err := f.run(e, p); err != nil {
+		return fail(err)
 	}
-	var last RecoverResult
+	var rows []ReportRow
+	var ttfa []float64
 	var ms1, ms2 runtime.MemStats
 	runtime.GC()
 	runtime.ReadMemStats(&ms1)
 	start := time.Now()
 	for i := 0; i < runs; i++ {
-		res, err := RunRecover(cfg)
-		if err != nil {
-			return ReportRow{}, err
+		var err error
+		if rows, err = f.run(e, p); err != nil {
+			return fail(err)
 		}
-		last = res
+		if ttfa == nil {
+			ttfa = make([]float64, len(rows))
+		}
+		for j := range rows {
+			ttfa[j] += rows[j].TTFAUsec
+		}
 	}
 	wall := time.Since(start)
 	runtime.ReadMemStats(&ms2)
-	return ReportRow{
-		Figure:          "recover",
-		Policy:          name,
-		Closure:         cfg.ClosureSize,
-		ModelSec:        last.Time.Seconds(),
-		Messages:        last.Messages,
-		NetBytes:        last.Bytes,
-		Faults:          last.Faults,
-		RecSessions:     last.Sessions,
-		RecFaults:       last.ChaosFaults,
-		RecRetries:      last.Retries,
-		RecReplays:      last.Replays,
-		RecStaleDrops:   last.StaleDrops,
-		WallSec:         wall.Seconds() / float64(runs),
-		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp: (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
-	}, nil
-}
-
-// measureStreamPoint runs one streamed-transfer configuration and fills
-// a stream row. The closure budget is fixed large (StreamConfig's 4 MiB
-// default) so the whole chain ships on the first fault regardless of the
-// report's closure setting.
-func measureStreamPoint(model netsim.Model, nodes, runs int, name string, chunk int) (ReportRow, error) {
-	cfg := StreamConfig{
-		Nodes:            nodes,
-		StreamChunkBytes: chunk,
-		Model:            model,
-	}
-	if _, err := RunStream(cfg); err != nil { // warm-up
-		return ReportRow{}, err
-	}
-	var last StreamResult
-	var ms1, ms2 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms1)
-	start := time.Now()
-	var ttfa time.Duration
-	for i := 0; i < runs; i++ {
-		res, err := RunStream(cfg)
-		if err != nil {
-			return ReportRow{}, err
-		}
-		last = res
-		ttfa += res.TTFA
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms2)
-	cfg.fill()
-	return ReportRow{
-		Figure:          "stream",
-		Policy:          name,
-		Closure:         cfg.ClosureSize,
-		ModelSec:        last.Time.Seconds(),
-		Messages:        last.Messages,
-		NetBytes:        last.Bytes,
-		Faults:          last.Faults,
-		Fetches:         last.Fetches,
-		Chunks:          last.Chunks,
-		TTFAUsec:        float64(ttfa.Microseconds()) / float64(runs),
-		WallSec:         wall.Seconds() / float64(runs),
-		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp: (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
-	}, nil
-}
-
-// measureConcurrentPoint runs one concurrent-sessions configuration and
-// fills a concurrent row. The network model is left free: virtual time
-// is ill-defined when sessions overlap, so the row's timing column is
-// wall clock and its deterministic columns are the operation counts.
-func measureConcurrentPoint(nodes, closure, runs int, clients int, ratio float64) (ReportRow, error) {
-	cfg := ConcurrentConfig{
-		Nodes:       nodes,
-		ClosureSize: closure,
-		Clients:     clients,
-		WriteRatio:  ratio,
-		Seed:        1,
-	}
-	if _, err := RunConcurrent(cfg); err != nil { // warm-up
-		return ReportRow{}, err
-	}
-	var last ConcurrentResult
-	var ms1, ms2 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms1)
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		res, err := RunConcurrent(cfg)
-		if err != nil {
-			return ReportRow{}, err
-		}
-		last = res
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms2)
-	return ReportRow{
-		Figure:          "concurrent",
-		Policy:          "smart-concurrent",
-		Ratio:           ratio,
-		Closure:         closure,
-		Clients:         clients,
-		Messages:        last.Messages,
-		NetBytes:        last.Bytes,
-		ConcSessions:    last.Sessions,
-		ConcReads:       last.Reads,
-		ConcWrites:      last.Writes,
-		ConcCheckedOps:  last.CheckedOps,
-		ConcPartitions:  last.Partitions,
-		ConcCheckSec:    last.CheckTime.Seconds(),
-		WallSec:         wall.Seconds() / float64(runs),
-		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp: (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
-	}, nil
-}
-
-// measureScaleoutPoint runs one multi-client scale-out configuration and
-// fills a scaleout row. Clients run sequentially, so every modeled
-// column — including the encode-cache counters — is deterministic.
-func measureScaleoutPoint(model netsim.Model, nodes, closure, runs int, name string, clients int, ratio float64, noEnc bool) (ReportRow, error) {
-	cfg := ScaleoutConfig{
-		Nodes:              nodes,
-		ClosureSize:        closure,
-		Clients:            clients,
-		Rounds:             2,
-		MutationRatio:      ratio,
-		Model:              model,
-		DisableEncodeCache: noEnc,
-	}
-	if _, err := RunScaleout(cfg); err != nil { // warm-up
-		return ReportRow{}, err
-	}
-	var last ScaleoutResult
-	var ms1, ms2 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms1)
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		res, err := RunScaleout(cfg)
-		if err != nil {
-			return ReportRow{}, err
-		}
-		last = res
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms2)
-	return ReportRow{
-		Figure:           "scaleout",
-		Policy:           name,
-		Ratio:            ratio,
-		Closure:          closure,
-		Clients:          clients,
-		ModelSec:         last.Time.Seconds(),
-		Messages:         last.Messages,
-		NetBytes:         last.Bytes,
-		Faults:           last.Faults,
-		Fetches:          last.Fetches,
-		EncHits:          last.EncHits,
-		EncMisses:        last.EncMisses,
-		EncEvictions:     last.EncEvictions,
-		EncInvalidations: last.EncInvalidations,
-		EncBytes:         last.EncBytes,
-		WallSec:          wall.Seconds() / float64(runs),
-		AllocsPerOp:      (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp:  (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
-	}, nil
-}
-
-// measurePipelinePoint runs one deterministic pointer-chase configuration
-// (single client, synchronous speculation) and fills a pipeline row.
-func measurePipelinePoint(model netsim.Model, nodes, closure, runs int, name string, prefetch bool) (ReportRow, error) {
-	cfg := PipelineConfig{
-		ChainNodes:   nodes,
-		ClosureSize:  closure,
-		Prefetch:     prefetch,
-		SyncPrefetch: true,
-		Model:        model,
-	}
-	if _, err := RunPipeline(cfg); err != nil { // warm-up
-		return ReportRow{}, err
-	}
-	var last PipelineResult
-	var ms1, ms2 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms1)
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		res, err := RunPipeline(cfg)
-		if err != nil {
-			return ReportRow{}, err
-		}
-		last = res
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms2)
-	return ReportRow{
-		Figure:          "pipeline",
-		Policy:          name,
-		Closure:         closure,
-		ModelSec:        last.Time.Seconds(),
-		Messages:        last.Messages,
-		NetBytes:        last.Bytes,
-		Faults:          last.Faults,
-		Fetches:         last.Fetches,
-		BlockingFetches: last.BlockingFetches,
-		PfIssued:        last.PfIssued,
-		PfCoalesced:     last.PfCoalesced,
-		PfHits:          last.PfHits,
-		PfWasted:        last.PfWasted,
-		PfBytes:         last.PfBytes,
-		WallSec:         wall.Seconds() / float64(runs),
-		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp: (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
-	}, nil
-}
-
-// measureWarmPoint runs one repeated-session configuration and returns a
-// row per session. Wall time and allocations are whole-run averages
-// spread evenly over the sessions; the modeled columns are per-session.
-func measureWarmPoint(model netsim.Model, nodes, closure, runs int, name string, ratio float64, noWarm bool) ([]ReportRow, error) {
-	const sessions = 4
-	cfg := WarmConfig{
-		Nodes:            nodes,
-		ClosureSize:      closure,
-		Sessions:         sessions,
-		MutationRatio:    ratio,
-		Model:            model,
-		DisableWarmCache: noWarm,
-	}
-	if _, err := RunWarmSessions(cfg); err != nil { // warm-up
-		return nil, err
-	}
-	var last WarmResult
-	var ms1, ms2 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms1)
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		res, err := RunWarmSessions(cfg)
-		if err != nil {
-			return nil, err
-		}
-		last = res
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms2)
-	ops := uint64(runs) * sessions
-	rows := make([]ReportRow, 0, sessions)
-	for i, s := range last.Sessions {
-		perCrossing := 0.0
-		if s.Crossings > 0 {
-			perCrossing = float64(s.Messages) / float64(s.Crossings)
-		}
-		rows = append(rows, ReportRow{
-			Figure:              "warm-sessions",
-			Policy:              name,
-			Ratio:               ratio,
-			Closure:             closure,
-			Session:             i + 1,
-			ModelSec:            s.Time.Seconds(),
-			Callbacks:           s.Callbacks,
-			Messages:            s.Messages,
-			NetBytes:            s.Bytes,
-			Faults:              s.Faults,
-			Crossings:           s.Crossings,
-			MsgsPerCrossing:     perCrossing,
-			ItemBodyBytes:       s.ItemBodyBytes,
-			CohRevalidateHits:   s.RevalidateHits,
-			CohRevalidateMisses: s.RevalidateMisses,
-			CohRevalidateBytes:  s.RevalidateBytes,
-			WallSec:             wall.Seconds() / float64(ops),
-			AllocsPerOp:         (ms2.Mallocs - ms1.Mallocs) / ops,
-			AllocBytesPerOp:     (ms2.TotalAlloc - ms1.TotalAlloc) / ops,
-		})
+	ops := uint64(runs * len(rows))
+	for j := range rows {
+		r := &rows[j]
+		r.Figure, r.Policy = f.figure, p.name
+		r.TTFAUsec = ttfa[j] / float64(runs)
+		r.WallSec = wall.Seconds() / float64(ops)
+		r.AllocsPerOp = (ms2.Mallocs - ms1.Mallocs) / ops
+		r.AllocBytesPerOp = (ms2.TotalAlloc - ms1.TotalAlloc) / ops
 	}
 	return rows, nil
 }
 
-// Check compares the deterministic modeled columns of cur against a
-// committed baseline snapshot. Every baseline row must be present in cur
-// (matched by figure/policy/ratio/closure) with identical modeled
-// outputs; rows that exist only in cur are new experiments and pass.
-// Wall-clock and allocation columns are host-dependent and ignored.
-// Schema-1 baselines predate the crossing/coherency columns, so only the
-// columns they carry are compared.
+// Check compares the deterministic columns of cur against a committed
+// baseline snapshot. Every baseline row must be present in cur (matched
+// by rowKey) with every compared column equal; rows that exist only in
+// cur are new experiments and pass. A family may narrow the compared
+// columns for rows whose other columns are not deterministic
+// (family.compared).
 func Check(baseline, cur Report) error {
 	if baseline.Nodes != cur.Nodes || baseline.Closure != cur.Closure {
 		return fmt.Errorf("config mismatch: baseline %d nodes/%d closure, current %d/%d",
@@ -670,76 +274,16 @@ func Check(baseline, cur Report) error {
 			drifts = append(drifts, fmt.Sprintf("%s: row missing", rowKey(want)))
 			continue
 		}
-		check := func(col string, wantV, gotV float64) {
-			if wantV != gotV {
-				drifts = append(drifts, fmt.Sprintf("%s: %s = %v, baseline %v", rowKey(want), col, gotV, wantV))
+		cols := comparedCols
+		if f := familyOf(want.Figure); f != nil && f.compared != nil {
+			if narrow := f.compared(want); narrow != nil {
+				cols = narrow
 			}
 		}
-		if want.Figure == "recover" && (want.RecFaults > 0 || got.RecFaults > 0) {
-			// Faulted recover rows: retries race real-time deadlines, so
-			// traffic and timing are host-dependent. The deterministic
-			// claim is completion — every configured session finished.
-			check("rec_sessions", float64(want.RecSessions), float64(got.RecSessions))
-			continue
-		}
-		if want.Figure == "concurrent" {
-			// Concurrent rows run K goroutines against one origin: wire
-			// traffic and timing depend on the real interleaving, so only
-			// the seed-deterministic operation counts are compared.
-			check("conc_sessions", float64(want.ConcSessions), float64(got.ConcSessions))
-			check("conc_reads", float64(want.ConcReads), float64(got.ConcReads))
-			check("conc_writes", float64(want.ConcWrites), float64(got.ConcWrites))
-			check("conc_checked_ops", float64(want.ConcCheckedOps), float64(got.ConcCheckedOps))
-			check("conc_partitions", float64(want.ConcPartitions), float64(got.ConcPartitions))
-			continue
-		}
-		check("model_sec", want.ModelSec, got.ModelSec)
-		check("callbacks", float64(want.Callbacks), float64(got.Callbacks))
-		check("messages", float64(want.Messages), float64(got.Messages))
-		check("net_bytes", float64(want.NetBytes), float64(got.NetBytes))
-		check("faults", float64(want.Faults), float64(got.Faults))
-		if baseline.Schema >= 2 {
-			check("crossings", float64(want.Crossings), float64(got.Crossings))
-			check("msgs_per_crossing", want.MsgsPerCrossing, got.MsgsPerCrossing)
-			check("coh_item_bytes", float64(want.CohItemBytes), float64(got.CohItemBytes))
-			check("coh_items_shipped", float64(want.CohItemsShipped), float64(got.CohItemsShipped))
-			check("coh_delta_items", float64(want.CohDeltaItems), float64(got.CohDeltaItems))
-			check("coh_items_skipped", float64(want.CohItemsSkipped), float64(got.CohItemsSkipped))
-		}
-		if baseline.Schema >= 3 {
-			check("item_body_bytes", float64(want.ItemBodyBytes), float64(got.ItemBodyBytes))
-			check("coh_revalidate_hits", float64(want.CohRevalidateHits), float64(got.CohRevalidateHits))
-			check("coh_revalidate_misses", float64(want.CohRevalidateMisses), float64(got.CohRevalidateMisses))
-			check("coh_revalidate_bytes", float64(want.CohRevalidateBytes), float64(got.CohRevalidateBytes))
-		}
-		if baseline.Schema >= 4 {
-			check("fetches", float64(want.Fetches), float64(got.Fetches))
-			check("blocking_fetches", float64(want.BlockingFetches), float64(got.BlockingFetches))
-			check("pf_issued", float64(want.PfIssued), float64(got.PfIssued))
-			check("pf_coalesced", float64(want.PfCoalesced), float64(got.PfCoalesced))
-			check("pf_hits", float64(want.PfHits), float64(got.PfHits))
-			check("pf_wasted", float64(want.PfWasted), float64(got.PfWasted))
-			check("pf_bytes", float64(want.PfBytes), float64(got.PfBytes))
-		}
-		if baseline.Schema >= 5 {
-			// EncBytes is a gauge (resident size at run end), not a
-			// counter; it is reported but not drift-checked.
-			check("enc_hits", float64(want.EncHits), float64(got.EncHits))
-			check("enc_misses", float64(want.EncMisses), float64(got.EncMisses))
-			check("enc_evictions", float64(want.EncEvictions), float64(got.EncEvictions))
-			check("enc_invalidations", float64(want.EncInvalidations), float64(got.EncInvalidations))
-		}
-		if baseline.Schema >= 7 {
-			// TTFAUsec is wall clock and skipped, like WallSec.
-			check("chunks", float64(want.Chunks), float64(got.Chunks))
-		}
-		if baseline.Schema >= 8 {
-			// Only fault-free recover rows reach here (faulted ones exit
-			// above): armed-but-idle recovery must do zero retry work.
-			check("rec_sessions", float64(want.RecSessions), float64(got.RecSessions))
-			check("rec_retries", float64(want.RecRetries), float64(got.RecRetries))
-			check("rec_replays", float64(want.RecReplays), float64(got.RecReplays))
-			check("rec_stale_drops", float64(want.RecStaleDrops), float64(got.RecStaleDrops))
+		for _, c := range cols {
+			if w, g := want.num(c), got.num(c); w != g {
+				drifts = append(drifts, fmt.Sprintf("%s: %s = %v, baseline %v", rowKey(want), c, g, w))
+			}
 		}
 	}
 	if len(drifts) > 0 {
@@ -748,65 +292,8 @@ func Check(baseline, cur Report) error {
 	return nil
 }
 
+// rowKey identifies a row across snapshots. Families without a
+// clients column carry 0 there.
 func rowKey(r ReportRow) string {
-	// Clients was added in schema 5; rows from older families carry 0
-	// there, so pre-5 baselines keep matching their re-measured rows.
 	return fmt.Sprintf("%s/%s/%.4f/%d/%d/%d", r.Figure, r.Policy, r.Ratio, r.Closure, r.Session, r.Clients)
-}
-
-func measurePoint(model netsim.Model, nodes, runs int, pt reportPoint) (ReportRow, error) {
-	cfg := TreeConfig{
-		Policy:            pt.policy,
-		Nodes:             nodes,
-		ClosureSize:       pt.clos,
-		AccessRatio:       pt.ratio,
-		Update:            pt.update,
-		Repeats:           pt.repeats,
-		Model:             model,
-		DisableFetchBatch: pt.noBat,
-		DisableDeltaShip:  pt.noDelta,
-	}
-	// Warm-up run: first-use initialization (layout caches, pools) should
-	// not be charged to the measurement.
-	if _, err := RunTree(cfg); err != nil {
-		return ReportRow{}, err
-	}
-	var last TreeResult
-	var ms1, ms2 runtime.MemStats
-	runtime.GC()
-	runtime.ReadMemStats(&ms1)
-	start := time.Now()
-	for i := 0; i < runs; i++ {
-		res, err := RunTree(cfg)
-		if err != nil {
-			return ReportRow{}, err
-		}
-		last = res
-	}
-	wall := time.Since(start)
-	runtime.ReadMemStats(&ms2)
-	perCrossing := 0.0
-	if last.Crossings > 0 {
-		perCrossing = float64(last.Messages) / float64(last.Crossings)
-	}
-	return ReportRow{
-		Figure:          pt.figure,
-		Policy:          pt.name,
-		Ratio:           pt.ratio,
-		Closure:         pt.clos,
-		ModelSec:        last.Time.Seconds(),
-		Callbacks:       last.Callbacks,
-		Messages:        last.Messages,
-		NetBytes:        last.Bytes,
-		Faults:          last.Faults,
-		Crossings:       last.Crossings,
-		MsgsPerCrossing: perCrossing,
-		CohItemBytes:    last.CohItemBytes,
-		CohItemsShipped: last.CohItemsShipped,
-		CohDeltaItems:   last.CohDeltaItems,
-		CohItemsSkipped: last.CohItemsSkipped,
-		WallSec:         wall.Seconds() / float64(runs),
-		AllocsPerOp:     (ms2.Mallocs - ms1.Mallocs) / uint64(runs),
-		AllocBytesPerOp: (ms2.TotalAlloc - ms1.TotalAlloc) / uint64(runs),
-	}, nil
 }

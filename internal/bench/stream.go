@@ -40,9 +40,11 @@ type StreamConfig struct {
 	// large (4 MiB) so the whole chain ships on the first fault.
 	ClosureSize int
 	// StreamChunkBytes is the origin's streaming threshold and chunk
-	// size (core.Options.StreamChunkBytes); zero keeps the core default,
-	// negative disables streaming (the monolithic-reply ablation).
+	// size (core.Options.StreamChunkBytes); zero keeps the core default.
 	StreamChunkBytes int
+	// DisableStreaming makes the origin's replies monolithic (the
+	// ablation; core.Options.DisableStreaming).
+	DisableStreaming bool
 	// PageSize overrides the simulated page size.
 	PageSize int
 	// Model is the network cost model; zero value = free network.
@@ -96,7 +98,7 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 	defer net.Close()
 	reg := NewRegistry()
 
-	mk := func(id uint32, chunk int) (*core.Runtime, error) {
+	mk := func(id uint32, chunk int, noStream bool) (*core.Runtime, error) {
 		node, err := net.Attach(id)
 		if err != nil {
 			return nil, err
@@ -109,14 +111,15 @@ func RunStream(cfg StreamConfig) (StreamResult, error) {
 			ClosureSize:      cfg.ClosureSize,
 			PageSize:         cfg.PageSize,
 			StreamChunkBytes: chunk,
+			DisableStreaming: noStream,
 		})
 	}
-	server, err := mk(StreamServerID, cfg.StreamChunkBytes)
+	server, err := mk(StreamServerID, cfg.StreamChunkBytes, cfg.DisableStreaming)
 	if err != nil {
 		return StreamResult{}, err
 	}
 	defer server.Close()
-	client, err := mk(StreamClientID, 0)
+	client, err := mk(StreamClientID, 0, false)
 	if err != nil {
 		return StreamResult{}, err
 	}

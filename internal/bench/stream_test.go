@@ -20,18 +20,18 @@ func TestStreamTTFA(t *testing.T) {
 	if testing.Short() {
 		nodes = 8191
 	}
-	median := func(chunk int) time.Duration {
+	median := func(cfg StreamConfig) time.Duration {
 		const runs = 5
 		ttfas := make([]time.Duration, 0, runs)
 		for i := 0; i < runs; i++ {
-			res, err := RunStream(StreamConfig{Nodes: nodes, StreamChunkBytes: chunk})
+			res, err := RunStream(cfg)
 			if err != nil {
-				t.Fatalf("chunk %d: %v", chunk, err)
+				t.Fatalf("%+v: %v", cfg, err)
 			}
-			if chunk > 0 && res.Chunks == 0 {
-				t.Fatalf("chunk %d: no chunk frames on the wire", chunk)
+			if !cfg.DisableStreaming && res.Chunks == 0 {
+				t.Fatalf("chunk %d: no chunk frames on the wire", cfg.StreamChunkBytes)
 			}
-			if chunk < 0 && res.Chunks != 0 {
+			if cfg.DisableStreaming && res.Chunks != 0 {
 				t.Fatalf("ablation put %d chunk frames on the wire", res.Chunks)
 			}
 			ttfas = append(ttfas, res.TTFA)
@@ -39,8 +39,8 @@ func TestStreamTTFA(t *testing.T) {
 		sort.Slice(ttfas, func(i, j int) bool { return ttfas[i] < ttfas[j] })
 		return ttfas[len(ttfas)/2]
 	}
-	streamed := median(16 << 10)
-	ablated := median(-1)
+	streamed := median(StreamConfig{Nodes: nodes, StreamChunkBytes: 16 << 10})
+	ablated := median(StreamConfig{Nodes: nodes, DisableStreaming: true})
 	t.Logf("ttfa streamed %v, monolithic %v", streamed, ablated)
 	if streamed*4 >= ablated {
 		t.Fatalf("streamed ttfa %v not under 25%% of monolithic %v", streamed, ablated)

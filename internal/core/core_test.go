@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 
 	"smartrpc/internal/arch"
@@ -933,6 +934,43 @@ func TestOptionsValidation(t *testing.T) {
 	for i, o := range cases {
 		if _, err := New(o); err == nil {
 			t.Errorf("case %d: invalid options accepted", i)
+		}
+	}
+}
+
+// TestOptionsRejectNegativeSizes: a negative encode-cache or chunk size
+// is an error, not a second way to switch the feature off; the Disable
+// flags are the one way.
+func TestOptionsRejectNegativeSizes(t *testing.T) {
+	net, err := transport.NewNetwork(netsim.Model{}, nil, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer net.Close()
+	reg := types.NewRegistry()
+	for i, tc := range []struct {
+		tune func(*Options)
+		want string // error substring; "" = accepted
+	}{
+		{func(o *Options) { o.EncodeCacheBytes = -1 }, "EncodeCacheBytes"},
+		{func(o *Options) { o.StreamChunkBytes = -1 }, "StreamChunkBytes"},
+		{func(o *Options) { o.DisableEncodeCache, o.DisableStreaming = true, true }, ""},
+	} {
+		node, err := net.Attach(uint32(10 + i))
+		if err != nil {
+			t.Fatal(err)
+		}
+		o := Options{ID: uint32(10 + i), Node: node, Registry: reg}
+		tc.tune(&o)
+		rt, err := New(o)
+		switch {
+		case tc.want == "" && err != nil:
+			t.Errorf("case %d: %v", i, err)
+		case tc.want != "" && (err == nil || !strings.Contains(err.Error(), tc.want)):
+			t.Errorf("case %d: error %v, want one naming %s", i, err, tc.want)
+		}
+		if rt != nil {
+			rt.Close()
 		}
 	}
 }

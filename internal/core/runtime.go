@@ -210,7 +210,7 @@ type Options struct {
 	// which memoizes the canonical encodings this space serves so N
 	// clients fetching the same hot structure pay the marshaling cost
 	// once instead of N times. Origin-local with zero wire-format
-	// change. Zero selects the default (4 MiB).
+	// change. Zero selects the default (4 MiB); negative is an error.
 	EncodeCacheBytes int
 	// DisableEncodeCache turns the encode cache off entirely: every
 	// serve re-encodes from the heap, the seed behavior. Used by
@@ -226,7 +226,7 @@ type Options struct {
 	// unblocks the faulting access as soon as the primary page is
 	// resident. Zero selects the default (1 MiB — above every reply the
 	// committed benchmark snapshots produce, so their wire traffic is
-	// unchanged).
+	// unchanged); negative is an error.
 	StreamChunkBytes int
 	// DisableStreaming forces every served reply monolithic regardless
 	// of size (the seed behavior). Used by benchmarks and regression
@@ -289,17 +289,17 @@ func (o *Options) fill() error {
 	if o.Prefetch && o.PrefetchDepth <= 0 {
 		o.PrefetchDepth = defaultPrefetchDepth
 	}
+	if o.EncodeCacheBytes < 0 {
+		return fmt.Errorf("core: negative EncodeCacheBytes %d (DisableEncodeCache turns the cache off)", o.EncodeCacheBytes)
+	}
 	if o.EncodeCacheBytes == 0 {
 		o.EncodeCacheBytes = defaultEncodeCacheBytes
 	}
-	if o.EncodeCacheBytes < 0 {
-		o.DisableEncodeCache = true
+	if o.StreamChunkBytes < 0 {
+		return fmt.Errorf("core: negative StreamChunkBytes %d (DisableStreaming turns streaming off)", o.StreamChunkBytes)
 	}
 	if o.StreamChunkBytes == 0 {
 		o.StreamChunkBytes = defaultStreamChunkBytes
-	}
-	if o.StreamChunkBytes < 0 {
-		o.DisableStreaming = true
 	}
 	if o.RetryBudget > 0 && o.MaxRetries == 0 {
 		o.MaxRetries = defaultMaxRetries
